@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .datagen import ParamPoint, Trajectory
-from .metrics import ZeroVarianceError, pearson, scaled_mse
+from .metrics import ZeroVarianceError, pearson, scaled_mse, write_csv
 from .training import ModelCheckpoint, predict_rollout, retrain
 from .uq import aggregate_param, second_pass
 
@@ -84,20 +84,11 @@ def evaluate_grid(ckpt: ModelCheckpoint, truths: dict, grid, ensemble_n: int,
     return nu_list, mse_list, preds
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def _write_iter_csvs(out_dir: Path, iteration: int, grid, nu_list, mse_list):
     names = grid[0].names()
-    with open(out_dir / f"iter{iteration}_nu.csv", "w") as f:
-        f.write(",".join(names) + ",nu_xi\n")
-        for p, v in zip(grid, nu_list):
-            f.write(",".join(_fmt(x) for x in p.vector()) + f",{_fmt(v)}\n")
-    with open(out_dir / f"iter{iteration}_mse.csv", "w") as f:
-        f.write(",".join(names) + ",scaled_mse\n")
-        for p, v in zip(grid, mse_list):
-            f.write(",".join(_fmt(x) for x in p.vector()) + f",{_fmt(v)}\n")
+    for suffix, column, values in (("nu", "nu_xi", nu_list), ("mse", "scaled_mse", mse_list)):
+        write_csv(out_dir / f"iter{iteration}_{suffix}.csv", names + (column,),
+                  [(*p.vector(), v) for p, v in zip(grid, values)])
 
 
 def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory],

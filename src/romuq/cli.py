@@ -4,24 +4,21 @@ adapt, report. Figure data is emitted as plot-ready CSV, not images."""
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .adaptive import run_loop
 from .config import ConfigError, RunConfig, write_resolved
 from .datagen import (ParamPoint, SolverError, Trajectory, read_trajectory,
                       solve_hopf_surrogate, solve_ks, split_even_odd,
                       write_trajectory)
-from .metrics import MetricReport, crps, kinetic_energy, relative_mse, scaled_mse
-from .training import (LossWeights, ModelCheckpoint, TrainConfig,
-                       TrainingDiverged, predict_rollout, train)
-from .transformer import RolloutDivergence, TransformerConfig
+from .metrics import (MetricReport, crps, kinetic_energy, relative_mse, scaled_mse,
+                      write_csv)
+from .training import ModelCheckpoint, TrainingDiverged, predict_rollout, train
+from .transformer import RolloutDivergence
 from .uq import second_pass, write_nu_xi_csv, write_uq_csvs
-from .vae import VaeConfig
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
@@ -42,16 +39,8 @@ def _load_config(path) -> RunConfig:
         _fail(EXIT_MISSING_INPUT, f"config file not found: {path}")
     try:
         return RunConfig.load(path)
-    except (ConfigError, json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # ConfigError, JSONDecodeError
         _fail(EXIT_CONFIG, f"invalid config: {exc}")
-
-
-def _max_threads() -> int:
-    raw = os.environ.get("UPDROM_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def _parse_sweep(sweep: str):
@@ -101,7 +90,6 @@ def _load_checkpoint(path: Path) -> ModelCheckpoint:
 def main():
     """Reduced-order modelling with latent forecasting, UQ and adaptive
     sampling."""
-    _max_threads()  # parse once so a bad value surfaces early
 
 
 @main.command()
@@ -114,7 +102,7 @@ def generate(config_path, case, sweep, seed, out_dir):
     """Generate one trajectory file per sweep value."""
     config = _load_config(config_path)
     config.seed = seed
-    case = case or config.datagen.case
+    case = config.datagen.case = case or config.datagen.case
     name, values = _parse_sweep(sweep)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -135,27 +123,6 @@ def generate(config_path, case, sweep, seed, out_dir):
     click.echo(f"wrote {len(files)} trajectories to {out}")
 
 
-def _train_config(config: RunConfig, dataset) -> TrainConfig:
-    state_dim = dataset[0].n_xy
-    param_dim = len(dataset[0].param.names())
-    vae = VaeConfig(state_dim=state_dim, latent_dim=config.vae.latent_dim,
-                    hidden=config.vae.hidden, param_dim=param_dim,
-                    embed_dim=config.vae.embed_dim)
-    tf = TransformerConfig(lookback=config.transformer.lookback,
-                           horizon=config.transformer.horizon,
-                           latent_dim=config.vae.latent_dim,
-                           width=config.transformer.width,
-                           heads=config.transformer.heads,
-                           blocks=config.transformer.blocks,
-                           param_dim=param_dim,
-                           ff_mult=config.transformer.ff_mult)
-    loss = LossWeights(lam=config.loss.lam, kld_weight=config.loss.kld_weight)
-    return TrainConfig(vae=vae, transformer=tf, loss=loss,
-                       epochs=config.training.epochs,
-                       batch_size=config.training.batch_size,
-                       lr=config.training.lr)
-
-
 @main.command("train")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--data", "data_dir", type=click.Path(), required=True)
@@ -167,7 +134,10 @@ def cmd_train(config_path, data_dir, seed, out_dir):
     config.seed = seed
     dataset = _load_dataset(Path(data_dir))
     train_set = [split_even_odd(t)[0] for t in dataset]
-    tc = _train_config(config, train_set)
+    try:
+        tc = config.train_config(train_set[0].n_xy, len(train_set[0].param.names()))
+    except ConfigError as exc:
+        _fail(EXIT_CONFIG, f"invalid config: {exc}")
     try:
         ckpt = train(train_set, tc, seed, dataset_id=str(data_dir))
     except TrainingDiverged as exc:
@@ -208,11 +178,8 @@ def cmd_infer(ckpt_dir, data_file, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     k_pred = kinetic_energy(predicted)
-    k_true = kinetic_energy(truth)
-    with open(out / "kinetic_energy.csv", "w") as f:
-        f.write("t,k_pred,k_true\n")
-        for t, (a, b) in enumerate(zip(k_pred, k_true)):
-            f.write(f"{t},{a!r},{b!r}\n")
+    write_csv(out / "kinetic_energy.csv", ("t", "k_pred", "k_true"),
+              zip(range(len(k_pred)), k_pred, kinetic_energy(truth)))
     write_trajectory(out / "prediction.updr",
                      Trajectory(states=predicted, dt=traj.dt, grid=traj.grid,
                                 param=traj.param))
@@ -262,6 +229,11 @@ def cmd_uq(ckpt_dir, data_file, ensemble_n, seed, out_dir):
 def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir):
     """Uncertainty-driven adaptive sampling over the configured grid."""
     config = _load_config(config_path)
+    config.seed = seed
+    if budget is not None:
+        config.adaptive.budget = budget
+    if threshold is not None:
+        config.adaptive.threshold = threshold
     ckpt = _load_checkpoint(Path(ckpt_dir))
     initial = _load_dataset(Path(data_dir))
     if not config.adaptive.grid:
@@ -278,9 +250,8 @@ def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir)
 
     out = Path(out_dir)
     try:
-        run_loop(ckpt, generator, grid,
-                 budget if budget is not None else config.adaptive.budget,
-                 threshold if threshold is not None else config.adaptive.threshold,
+        run_loop(ckpt, generator, grid, config.adaptive.budget,
+                 config.adaptive.threshold,
                  initial_data=[split_even_odd(t)[0] for t in initial],
                  retrain_epochs=config.training.retrain_epochs,
                  replay_fraction=config.training.replay_fraction,
@@ -304,12 +275,8 @@ def cmd_report(out_dir):
         _fail(EXIT_MISSING_INPUT, f"no trajectory artifacts under {out}")
     for path in files:
         traj = read_trajectory(path)
-        k = kinetic_energy(traj.states)
-        target = path.parent / f"ke_{path.stem}.csv"
-        with open(target, "w") as f:
-            f.write("t,kinetic_energy\n")
-            for t, v in enumerate(k):
-                f.write(f"{t},{v!r}\n")
+        write_csv(path.parent / f"ke_{path.stem}.csv", ("t", "kinetic_energy"),
+                  enumerate(kinetic_energy(traj.states)))
     click.echo(f"wrote kinetic-energy tables for {len(files)} trajectories")
 
 

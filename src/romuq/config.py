@@ -1,26 +1,48 @@
-"""Run configuration: strict section parsing with declared defaults.
+"""Run configuration: one dataclass per JSON section, parsed strictly.
 
-Unknown keys are rejected; every command writes the fully resolved
-configuration beside its outputs.
+The model sections (``vae``, ``transformer``, ``loss``) are the model
+configs themselves. Their derived fields, the dimensions the data fixes
+(``state_dim``, ``param_dim``) and the transformer's copy of the VAE's
+``latent_dim``, are refused as file keys and filled in by
+:meth:`RunConfig.train_config`. Unknown keys are rejected; every command
+writes the fully resolved configuration beside its outputs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import Optional, Sequence, get_type_hints
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _strict(cls, section: str, d: dict):
-    allowed = set(cls.__dataclass_fields__)
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-    return cls(**d)
+def _derived(default):
+    return field(default=default, metadata={"derived": True})
+
+
+def parse(cls, d, where: str, derived: bool = False):
+    """Build the dataclass ``cls`` from the mapping ``d``, recursing into
+    dataclass-typed fields. Unknown keys raise ConfigError, and so do
+    derived fields unless ``derived`` is set (a checkpoint stores them)."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"[{where}] must be a mapping")
+    settable = {f.name for f in fields(cls)
+                if derived or not f.metadata.get("derived")}
+    bad = set(d) - settable
+    if bad:
+        raise ConfigError(f"unknown or data-derived keys in [{where}]: {sorted(bad)}")
+    types = get_type_hints(cls)
+    return cls(**{k: parse(types[k], v, k, derived) if is_dataclass(types[k]) else v
+                  for k, v in d.items()})
+
+
+def _settable(obj) -> dict:
+    return {f.name: _settable(v) if is_dataclass(v := getattr(obj, f.name)) else v
+            for f in fields(obj) if not f.metadata.get("derived")}
 
 
 @dataclass
@@ -36,41 +58,83 @@ class DatagenSection:
 
 
 @dataclass
-class VaeSection:
+class VaeConfig:
+    state_dim: Optional[int] = _derived(None)
     latent_dim: int = 8
-    hidden: list = field(default_factory=lambda: [64])
+    hidden: Sequence[int] = (64,)
+    param_dim: int = _derived(1)
     embed_dim: int = 8
+
+    def __post_init__(self):
+        if not isinstance(self.hidden, (list, tuple)):
+            raise ConfigError(f"hidden must be a list of layer widths, got {self.hidden!r}")
+        self.hidden = tuple(int(h) for h in self.hidden)
+        if min(self.latent_dim, self.param_dim, self.embed_dim, *self.hidden) <= 0:
+            raise ConfigError("all dimensions must be positive")
+        if self.state_dim is not None and self.latent_dim >= self.state_dim:
+            raise ConfigError("latent_dim must be smaller than state_dim")
 
 
 @dataclass
-class TransformerSection:
+class TransformerConfig:
     lookback: int = 10
     horizon: int = 10
+    latent_dim: Optional[int] = _derived(None)
     width: int = 64
     heads: int = 4
     blocks: int = 1
+    param_dim: int = _derived(1)
     ff_mult: int = 2
+
+    def __post_init__(self):
+        if self.heads < 1 or self.width % self.heads != 0:
+            raise ConfigError("width must be divisible by heads")
+        if self.lookback < 1 or self.horizon < 1:
+            raise ConfigError("lookback and horizon must be >= 1")
 
 
 @dataclass
-class LossSection:
+class LossWeights:
     lam: float = 100.0
     kld_weight: float = 1e-4
 
+    def __post_init__(self):
+        if self.lam < 0 or self.kld_weight < 0:
+            raise ConfigError("loss weights must be non-negative")
+
 
 @dataclass
-class TrainingSection:
+class Schedule:
+    """Optimiser schedule of one fit."""
+
     epochs: int = 200
     batch_size: int = 32
     lr: float = 1e-3
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+
+
+@dataclass
+class TrainingSection(Schedule):
     replay_fraction: float = 0.25
     retrain_epochs: int = 40
 
 
 @dataclass
+class TrainConfig(Schedule):
+    """Everything one fit needs, derived fields included; a checkpoint
+    manifest stores it as ``asdict``."""
+
+    vae: VaeConfig = field(default_factory=VaeConfig)
+    transformer: TransformerConfig = field(default_factory=TransformerConfig)
+    loss: LossWeights = field(default_factory=LossWeights)
+
+
+@dataclass
 class UqSection:
     ensemble_n: int = 64
-    interval_k: float = 2.0
 
 
 @dataclass
@@ -83,47 +147,36 @@ class AdaptiveSection:
 @dataclass
 class RunConfig:
     datagen: DatagenSection = field(default_factory=DatagenSection)
-    vae: VaeSection = field(default_factory=VaeSection)
-    transformer: TransformerSection = field(default_factory=TransformerSection)
-    loss: LossSection = field(default_factory=LossSection)
+    vae: VaeConfig = field(default_factory=VaeConfig)
+    transformer: TransformerConfig = field(default_factory=TransformerConfig)
+    loss: LossWeights = field(default_factory=LossWeights)
     training: TrainingSection = field(default_factory=TrainingSection)
     uq: UqSection = field(default_factory=UqSection)
     adaptive: AdaptiveSection = field(default_factory=AdaptiveSection)
     seed: int = 0
-    out_dir: str = "runs"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        sections = {
-            "datagen": DatagenSection, "vae": VaeSection,
-            "transformer": TransformerSection, "loss": LossSection,
-            "training": TrainingSection, "uq": UqSection,
-            "adaptive": AdaptiveSection,
-        }
-        unknown = set(d) - set(sections) - {"seed", "out_dir"}
-        if unknown:
-            raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-        kwargs = {}
-        for name, section_cls in sections.items():
-            raw = d.get(name, {})
-            if not isinstance(raw, dict):
-                raise ConfigError(f"section [{name}] must be a mapping")
-            kwargs[name] = _strict(section_cls, name, raw)
-        return cls(seed=d.get("seed", 0), out_dir=d.get("out_dir", "runs"),
-                   **kwargs)
 
     @classmethod
     def load(cls, path) -> "RunConfig":
         with open(path) as f:
-            return cls.from_dict(json.load(f))
+            return parse(cls, json.load(f), "top level")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The settable keys, without the derived fields."""
+        return _settable(self)
 
     def save(self, path):
         with open(path, "w") as f:
             json.dump(self.to_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
+
+    def train_config(self, state_dim: int, param_dim: int) -> TrainConfig:
+        """The config of a fit on data of these dimensions."""
+        t = self.training
+        return TrainConfig(
+            vae=replace(self.vae, state_dim=state_dim, param_dim=param_dim),
+            transformer=replace(self.transformer, latent_dim=self.vae.latent_dim,
+                                param_dim=param_dim),
+            loss=self.loss, epochs=t.epochs, batch_size=t.batch_size, lr=t.lr)
 
 
 def write_resolved(config: RunConfig, out_dir):

@@ -1,10 +1,10 @@
 """Evaluation quantities: kinetic energy, relative MSE, pointwise scaled
-MSE, ensemble CRPS and Pearson correlation."""
+MSE, ensemble CRPS and Pearson correlation, and the plot-ready CSV tables
+they are written to."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -130,14 +130,18 @@ class MetricReport:
         })
 
     def write_csv(self, path):
-        path = Path(path)
         if not self.entries:
             raise ValueError("empty report")
-        names = self.entries[0]["param"].names()
-        cols = ["relative_mse_percent", "crps_printed", "crps_abs", "scaled_mse_mean"]
-        with open(path, "w") as f:
-            f.write(",".join(names) + "," + ",".join(cols) + "\n")
-            for e in self.entries:
-                vals = [repr(float(v)) for v in e["param"].vector()]
-                vals += [repr(float(e[c])) for c in cols]
-                f.write(",".join(vals) + "\n")
+        cols = ("relative_mse_percent", "crps_printed", "crps_abs", "scaled_mse_mean")
+        write_csv(path, self.entries[0]["param"].names() + cols,
+                  [(*e["param"].vector(), *(e[c] for c in cols)) for e in self.entries])
+
+
+def write_csv(path, header, rows):
+    """Plot-ready CSV table: integers as they are, every other value as
+    ``repr(float(v))``, which reads back bit-exactly."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(str(v) if isinstance(v, (int, np.integer)) else repr(float(v))
+                             for v in row) + "\n")

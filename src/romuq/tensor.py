@@ -277,14 +277,12 @@ def layer_norm(a: Tensor, eps: float = 1e-9) -> Tensor:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     out = xc * inv
-    n = x.shape[-1]
 
     def bwd(g):
         gm = g.mean(axis=-1, keepdims=True)
         gy = (g * out).mean(axis=-1, keepdims=True)
         return ((g - gm - out * gy) * inv,)
 
-    _ = n
     return _record("layer_norm", (a,), out, bwd)
 
 
@@ -397,3 +395,34 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     """Mean squared difference over all elements."""
     d = sub(a, b)
     return tensor_mean(mul(d, d))
+
+
+def linear(x: Tensor, layer) -> Tensor:
+    """x @ w + b for a ``(w, b)`` pair made by :meth:`Params.linear`."""
+    w, b = layer
+    return add(matmul(x, w), b)
+
+
+class Params:
+    """A model's trainable tensors under dotted names, in registration
+    order; linear weights are drawn from ``rng`` in that order."""
+
+    def __init__(self, prefix: str, rng: np.random.Generator):
+        self.prefix = prefix
+        self.rng = rng
+        self.named: list[tuple[str, Tensor]] = []
+
+    def add(self, name: str, data) -> Tensor:
+        t = Tensor(data, requires_grad=True)
+        self.named.append((self.prefix + name, t))
+        return t
+
+    def linear(self, name: str, n_in: int, n_out: int):
+        """Glorot-normal weight and zero bias."""
+        w = self.rng.standard_normal((n_in, n_out)) * np.sqrt(2.0 / (n_in + n_out))
+        return self.add(f"{name}.w", w), self.add(f"{name}.b", np.zeros(n_out))
+
+    def affine(self, name: str, dim: int):
+        """Unit gain and zero shift applied after a layer norm."""
+        return (self.add(f"{name}.gamma", np.ones(dim)),
+                self.add(f"{name}.beta", np.zeros(dim)))

@@ -4,18 +4,19 @@ and replay-based retraining."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
+from .config import LossWeights, TrainConfig, parse
 from .datagen import NormStats, ParamPoint, Trajectory, normalize
 from .optim import Adam
 from .tensor import Tape, Tensor
-from .transformer import LatentTransformer, TransformerConfig, rollout
-from .vae import LatentDistribution, Vae, VaeConfig, kld, reparameterize
+from .transformer import LatentTransformer, rollout
+from .vae import Vae, kld, reparameterize
 
 
 class TrainingDiverged(RuntimeError):
@@ -23,41 +24,6 @@ class TrainingDiverged(RuntimeError):
         super().__init__(f"NaN loss at epoch {epoch}, step {step}")
         self.epoch = epoch
         self.step = step
-
-
-@dataclass
-class LossWeights:
-    lam: float = 100.0
-    kld_weight: float = 1e-4
-
-    def __post_init__(self):
-        if self.lam < 0 or self.kld_weight < 0:
-            raise ValueError("loss weights must be non-negative")
-
-    def to_dict(self):
-        return {"lam": self.lam, "kld_weight": self.kld_weight}
-
-
-@dataclass
-class TrainConfig:
-    vae: VaeConfig
-    transformer: TransformerConfig
-    loss: LossWeights = field(default_factory=LossWeights)
-    epochs: int = 200
-    batch_size: int = 32
-    lr: float = 1e-3
-
-    def to_dict(self):
-        return {"vae": self.vae.to_dict(), "transformer": self.transformer.to_dict(),
-                "loss": self.loss.to_dict(), "epochs": self.epochs,
-                "batch_size": self.batch_size, "lr": self.lr}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(vae=VaeConfig(**d["vae"]),
-                   transformer=TransformerConfig(**d["transformer"]),
-                   loss=LossWeights(**d["loss"]), epochs=d["epochs"],
-                   batch_size=d["batch_size"], lr=d["lr"])
 
 
 def total_loss(vae: Vae, transformer: LatentTransformer,
@@ -131,7 +97,7 @@ class ModelCheckpoint:
             blobs.append(p.data.astype("<f8").tobytes())
         manifest = {
             "format_version": 1,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "stats": self.stats.to_dict(),
             "seed": self.seed,
             "lineage": self.lineage,
@@ -150,7 +116,7 @@ class ModelCheckpoint:
         directory = Path(directory)
         with open(directory / "manifest.json") as f:
             manifest = json.load(f)
-        config = TrainConfig.from_dict(manifest["config"])
+        config = parse(TrainConfig, manifest["config"], "config", derived=True)
         rng = np.random.default_rng(manifest["seed"])
         vae = Vae(config.vae, rng)
         transformer = LatentTransformer(config.transformer, rng)

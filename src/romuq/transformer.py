@@ -3,40 +3,16 @@ cross-attention to the external-parameter token, autoregressive rollout."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from . import tensor as T
-from .datagen import ParamPoint
+from .config import TransformerConfig
 from .tensor import Tensor
+from .vae import param_rows
 
 MASK_FILL = -1e9
-
-
-@dataclass
-class TransformerConfig:
-    lookback: int
-    horizon: int
-    latent_dim: int
-    width: int = 64
-    heads: int = 4
-    blocks: int = 1
-    param_dim: int = 1
-    ff_mult: int = 2
-
-    def __post_init__(self):
-        if self.width % self.heads != 0:
-            raise ValueError("width must be divisible by heads")
-        if self.lookback < 1 or self.horizon < 1:
-            raise ValueError("lookback and horizon must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {"lookback": self.lookback, "horizon": self.horizon,
-                "latent_dim": self.latent_dim, "width": self.width,
-                "heads": self.heads, "blocks": self.blocks,
-                "param_dim": self.param_dim, "ff_mult": self.ff_mult}
 
 
 def sinusoidal_encoding(length: int, width: int) -> np.ndarray:
@@ -53,32 +29,16 @@ def causal_mask(length: int) -> np.ndarray:
     return np.triu(np.full((length, length), MASK_FILL), k=1)
 
 
-def _linear_init(rng, n_in, n_out):
-    w = rng.standard_normal((n_in, n_out)) * np.sqrt(2.0 / (n_in + n_out))
-    b = np.zeros(n_out)
-    return Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
-
-
 class AttentionBlock:
     """Masked self-attention, cross-attention to the parameter tokens, and a
     feed-forward sublayer; each followed by residual add + layer-norm."""
 
-    def __init__(self, config: TransformerConfig, rng, register, index: int):
+    def __init__(self, config: TransformerConfig, params: T.Params, index: int):
         d = config.width
         self.config = config
 
         def lin(name, n_in, n_out):
-            w, b = _linear_init(rng, n_in, n_out)
-            register(f"block{index}.{name}.w", w)
-            register(f"block{index}.{name}.b", b)
-            return w, b
-
-        def ln_affine(name):
-            gamma = Tensor(np.ones(d), requires_grad=True)
-            beta = Tensor(np.zeros(d), requires_grad=True)
-            register(f"block{index}.{name}.gamma", gamma)
-            register(f"block{index}.{name}.beta", beta)
-            return gamma, beta
+            return params.linear(f"block{index}.{name}", n_in, n_out)
 
         self.wq = lin("self_q", d, d)
         self.wk = lin("self_k", d, d)
@@ -90,9 +50,9 @@ class AttentionBlock:
         self.co = lin("cross_o", d, d)
         self.ff1 = lin("ff1", d, config.ff_mult * d)
         self.ff2 = lin("ff2", config.ff_mult * d, d)
-        self.ln1 = ln_affine("ln1")
-        self.ln2 = ln_affine("ln2")
-        self.ln3 = ln_affine("ln3")
+        self.ln1 = params.affine(f"block{index}.ln1", d)
+        self.ln2 = params.affine(f"block{index}.ln2", d)
+        self.ln3 = params.affine(f"block{index}.ln3", d)
 
     def _heads_split(self, x: Tensor, batch: int, length: int) -> Tensor:
         c = self.config
@@ -108,15 +68,15 @@ class AttentionBlock:
         batch, q_len = q_in.shape[0], q_in.shape[1]
         kv_len = kv_in.shape[1]
         dh = c.width // c.heads
-        q = self._heads_split(T.add(T.matmul(q_in, proj_q[0]), proj_q[1]), batch, q_len)
-        k = self._heads_split(T.add(T.matmul(kv_in, proj_k[0]), proj_k[1]), batch, kv_len)
-        v = self._heads_split(T.add(T.matmul(kv_in, proj_v[0]), proj_v[1]), batch, kv_len)
+        q = self._heads_split(T.linear(q_in, proj_q), batch, q_len)
+        k = self._heads_split(T.linear(kv_in, proj_k), batch, kv_len)
+        v = self._heads_split(T.linear(kv_in, proj_v), batch, kv_len)
         scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
         if mask is not None:
             scores = T.add(scores, Tensor(mask))
         weights = T.softmax(scores)
         ctx = self._heads_join(T.matmul(weights, v), batch, q_len)
-        return T.add(T.matmul(ctx, proj_o[0]), proj_o[1])
+        return T.linear(ctx, proj_o)
 
     def _ln(self, x: Tensor, affine) -> Tensor:
         gamma, beta = affine
@@ -128,8 +88,7 @@ class AttentionBlock:
                                            self.wo, mask)), self.ln1)
         x = self._ln(T.add(x, self._attend(x, xi_tokens, self.cq, self.ck,
                                            self.cv, self.co)), self.ln2)
-        h = T.add(T.matmul(T.gelu(T.add(T.matmul(x, self.ff1[0]), self.ff1[1])),
-                           self.ff2[0]), self.ff2[1])
+        h = T.linear(T.gelu(T.linear(x, self.ff1)), self.ff2)
         return self._ln(T.add(x, h), self.ln3)
 
 
@@ -137,43 +96,20 @@ class LatentTransformer:
     """Maps a lookback window of latents to the next ``horizon`` latents."""
 
     def __init__(self, config: TransformerConfig, rng: np.random.Generator):
-        self.config = config
-        c = config
-        self._params: list[tuple[str, Tensor]] = []
+        self.config = c = config
+        self.params = p = T.Params("transformer.", rng)
         self.forward_count = 0  # inference-cost probe
-
-        def register(name, t):
-            self._params.append((f"transformer.{name}", t))
-
-        def lin(name, n_in, n_out):
-            w, b = _linear_init(rng, n_in, n_out)
-            register(f"{name}.w", w)
-            register(f"{name}.b", b)
-            return w, b
-
-        self.in_proj = lin("in_proj", c.latent_dim, c.width)
-        self.xi_proj = lin("xi_proj", c.param_dim, c.width)
-        self.blocks = [AttentionBlock(c, rng, register, i) for i in range(c.blocks)]
-        self.out_head = lin("out_head", c.width, c.horizon * c.latent_dim)
+        self.in_proj = p.linear("in_proj", c.latent_dim, c.width)
+        self.xi_proj = p.linear("xi_proj", c.param_dim, c.width)
+        self.blocks = [AttentionBlock(c, p, i) for i in range(c.blocks)]
+        self.out_head = p.linear("out_head", c.width, c.horizon * c.latent_dim)
         self.pos = sinusoidal_encoding(c.lookback, c.width)
 
     def named_parameters(self):
-        return list(self._params)
+        return list(self.params.named)
 
     def parameters(self):
-        return [p for _, p in self._params]
-
-    def _xi_tokens(self, xi, batch: int) -> Tensor:
-        if isinstance(xi, ParamPoint):
-            vec = np.tile(xi.vector(), (batch, 1))
-            xi = Tensor(vec)
-        elif not isinstance(xi, Tensor):
-            arr = np.asarray(xi, dtype=np.float64)
-            if arr.ndim == 1:
-                arr = np.tile(arr, (batch, 1))
-            xi = Tensor(arr)
-        tok = T.add(T.matmul(xi, self.xi_proj[0]), self.xi_proj[1])
-        return T.reshape(tok, (batch, 1, self.config.width))
+        return [t for _, t in self.params.named]
 
     def forecast(self, window: Union[np.ndarray, Tensor], xi) -> Tensor:
         """Predict the next ``horizon`` latent vectors, shape (B, h, Z)."""
@@ -185,14 +121,14 @@ class LatentTransformer:
             raise T.ShapeError("forecast", x.shape, (c.lookback, c.latent_dim))
         self.forward_count += 1
         batch = x.shape[0]
-        h = T.add(T.add(T.matmul(x, self.in_proj[0]), self.in_proj[1]),
-                  Tensor(self.pos))
-        xi_tokens = self._xi_tokens(xi, batch)
+        h = T.add(T.linear(x, self.in_proj), Tensor(self.pos))
+        xi_tokens = T.reshape(T.linear(param_rows(xi, batch, c.param_dim), self.xi_proj),
+                              (batch, 1, c.width))
         for block in self.blocks:
             h = block(h, xi_tokens)
         last = T.reshape(T.slice_axis(h, 1, c.lookback - 1, c.lookback),
                          (batch, c.width))
-        out = T.add(T.matmul(last, self.out_head[0]), self.out_head[1])
+        out = T.linear(last, self.out_head)
         return T.reshape(out, (batch, c.horizon, c.latent_dim))
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import ParamPoint
+from .metrics import write_csv
 from .training import ModelCheckpoint
 
 
@@ -85,32 +86,16 @@ def confidence_interval(mean_traj: np.ndarray, field: UncertaintyField,
     return mean_traj - k * field.nu, mean_traj + k * field.nu
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def write_uq_csvs(directory, field: UncertaintyField):
     """Emit uq_field.csv (t, d, nu) and nu_t.csv for plotting."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "uq_field.csv", "w") as f:
-        f.write("t,d,nu\n")
-        for t in range(field.nu.shape[0]):
-            for d in range(field.nu.shape[1]):
-                f.write(f"{t},{d},{_fmt(field.nu[t, d])}\n")
-    nu_t = aggregate_time(field)
-    with open(directory / "nu_t.csv", "w") as f:
-        f.write("t,nu_t\n")
-        for t, v in enumerate(nu_t):
-            f.write(f"{t},{_fmt(v)}\n")
+    write_csv(directory / "uq_field.csv", ("t", "d", "nu"),
+              ((t, d, v) for t, row in enumerate(field.nu.tolist()) for d, v in enumerate(row)))
+    write_csv(directory / "nu_t.csv", ("t", "nu_t"), enumerate(aggregate_time(field)))
 
 
 def write_nu_xi_csv(path, rows):
     """Per-xi scalar table; ``rows`` is a list of (ParamPoint, nu_xi)."""
-    path = Path(path)
     names = rows[0][0].names() if rows else ()
-    with open(path, "w") as f:
-        f.write(",".join(names) + ",nu_xi\n")
-        for point, value in rows:
-            vals = ",".join(_fmt(v) for v in point.vector())
-            f.write(f"{vals},{_fmt(value)}\n")
+    write_csv(path, names + ("nu_xi",), [(*p.vector(), v) for p, v in rows])

@@ -6,36 +6,15 @@ learned linear embedding concatenated to their input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
 from . import tensor as T
+from .config import VaeConfig
 from .datagen import ParamPoint
 from .tensor import Tensor
-
-
-@dataclass
-class VaeConfig:
-    state_dim: int
-    latent_dim: int
-    hidden: Sequence[int] = (64,)
-    param_dim: int = 1
-    embed_dim: int = 8
-
-    def __post_init__(self):
-        self.hidden = tuple(int(h) for h in self.hidden)
-        if self.latent_dim >= self.state_dim:
-            raise ValueError("latent_dim must be smaller than state_dim")
-        if min(self.state_dim, self.latent_dim, self.param_dim, self.embed_dim,
-               *self.hidden) <= 0:
-            raise ValueError("all dimensions must be positive")
-
-    def to_dict(self) -> dict:
-        return {"state_dim": self.state_dim, "latent_dim": self.latent_dim,
-                "hidden": list(self.hidden), "param_dim": self.param_dim,
-                "embed_dim": self.embed_dim}
 
 
 @dataclass
@@ -49,66 +28,50 @@ class LatentDistribution:
         return np.exp(0.5 * self.log_var.data)
 
 
-def _linear_init(rng: np.random.Generator, n_in: int, n_out: int):
-    w = rng.standard_normal((n_in, n_out)) * np.sqrt(2.0 / (n_in + n_out))
-    b = np.zeros(n_out)
-    return Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+def param_rows(xi, batch: int, param_dim: int) -> Tensor:
+    """External parameters as ``(batch, param_dim)`` model input. A
+    ParamPoint or a single vector is repeated on every row; a Tensor or a
+    2-D array is used as given."""
+    if isinstance(xi, Tensor):
+        return xi
+    arr = xi.vector() if isinstance(xi, ParamPoint) else np.asarray(xi, dtype=np.float64)
+    if arr.shape[-1:] != (param_dim,):
+        raise T.ShapeError("xi", arr.shape, (param_dim,))
+    return Tensor(np.tile(arr, (batch, 1)) if arr.ndim == 1 else arr)
 
 
 class Vae:
     """MLP encoder/decoder pair conditioned on the external parameters."""
 
     def __init__(self, config: VaeConfig, rng: np.random.Generator):
-        self.config = config
-        c = config
-        self._params: list[tuple[str, Tensor]] = []
-
-        def lin(name, n_in, n_out):
-            w, b = _linear_init(rng, n_in, n_out)
-            self._params.append((f"{name}.w", w))
-            self._params.append((f"{name}.b", b))
-            return w, b
-
-        self.xi_embed = lin("vae.xi_embed", c.param_dim, c.embed_dim)
+        self.config = c = config
+        self.params = p = T.Params("vae.", rng)
+        self.xi_embed = p.linear("xi_embed", c.param_dim, c.embed_dim)
         self.enc_layers = []
         n_in = c.state_dim + c.embed_dim
         for i, h in enumerate(c.hidden):
-            self.enc_layers.append(lin(f"vae.enc{i}", n_in, h))
+            self.enc_layers.append(p.linear(f"enc{i}", n_in, h))
             n_in = h
-        self.mu_head = lin("vae.mu_head", n_in, c.latent_dim)
-        self.lv_head = lin("vae.lv_head", n_in, c.latent_dim)
+        self.mu_head = p.linear("mu_head", n_in, c.latent_dim)
+        self.lv_head = p.linear("lv_head", n_in, c.latent_dim)
 
         self.dec_layers = []
         n_in = c.latent_dim + c.embed_dim
         for i, h in enumerate(reversed(c.hidden)):
-            self.dec_layers.append(lin(f"vae.dec{i}", n_in, h))
+            self.dec_layers.append(p.linear(f"dec{i}", n_in, h))
             n_in = h
-        self.out_head = lin(f"vae.out_head", n_in, c.state_dim)
+        self.out_head = p.linear("out_head", n_in, c.state_dim)
 
     def named_parameters(self):
-        return list(self._params)
+        return list(self.params.named)
 
     def parameters(self):
-        return [p for _, p in self._params]
+        return [t for _, t in self.params.named]
 
     # ------------------------------------------------------------------
 
-    def _xi_tensor(self, xi, batch: int) -> Tensor:
-        if isinstance(xi, ParamPoint):
-            vec = xi.vector()
-            if vec.shape[0] != self.config.param_dim:
-                raise T.ShapeError("xi", vec.shape, (self.config.param_dim,))
-            return Tensor(np.tile(vec, (batch, 1)))
-        if isinstance(xi, Tensor):
-            return xi
-        arr = np.asarray(xi, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = np.tile(arr, (batch, 1))
-        return Tensor(arr)
-
     def embed_xi(self, xi, batch: int) -> Tensor:
-        w, b = self.xi_embed
-        return T.add(T.matmul(self._xi_tensor(xi, batch), w), b)
+        return T.linear(param_rows(xi, batch, self.config.param_dim), self.xi_embed)
 
     def encode(self, phi: Union[np.ndarray, Tensor], xi) -> LatentDistribution:
         """Map normalised snapshots (B, state_dim) to latent Gaussians."""
@@ -116,11 +79,10 @@ class Vae:
         if x.shape[-1] != self.config.state_dim:
             raise T.ShapeError("encode", x.shape, (self.config.state_dim,))
         h = T.concat([x, self.embed_xi(xi, x.shape[0])], axis=1)
-        for w, b in self.enc_layers:
-            h = T.gelu(T.add(T.matmul(h, w), b))
-        mu = T.add(T.matmul(h, self.mu_head[0]), self.mu_head[1])
-        lv = T.add(T.matmul(h, self.lv_head[0]), self.lv_head[1])
-        return LatentDistribution(mu=mu, log_var=lv)
+        for layer in self.enc_layers:
+            h = T.gelu(T.linear(h, layer))
+        return LatentDistribution(mu=T.linear(h, self.mu_head),
+                                  log_var=T.linear(h, self.lv_head))
 
     def decode(self, z: Union[np.ndarray, Tensor], xi) -> Tensor:
         """Map latents (B, latent_dim) back to normalised snapshots."""
@@ -128,9 +90,9 @@ class Vae:
         if h.shape[-1] != self.config.latent_dim:
             raise T.ShapeError("decode", h.shape, (self.config.latent_dim,))
         h = T.concat([h, self.embed_xi(xi, h.shape[0])], axis=1)
-        for w, b in self.dec_layers:
-            h = T.gelu(T.add(T.matmul(h, w), b))
-        return T.add(T.matmul(h, self.out_head[0]), self.out_head[1])
+        for layer in self.dec_layers:
+            h = T.gelu(T.linear(h, layer))
+        return T.linear(h, self.out_head)
 
 
 def reparameterize(dist: LatentDistribution, noise: Union[np.ndarray, Tensor]) -> Tensor:

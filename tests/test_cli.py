@@ -1,6 +1,8 @@
+import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -28,6 +30,15 @@ def runner():
 def write_config(path):
     with open(path, "w") as f:
         json.dump(SMALL_CONFIG, f)
+
+
+def assert_csvs_load(directory):
+    """Every CSV under ``directory`` parses as a plain numeric table."""
+    paths = sorted(Path(directory).rglob("*.csv"))
+    assert paths
+    for path in paths:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert table.size and np.all(np.isfinite(table)), path
 
 
 def run_generate(runner, tmp, out="data"):
@@ -104,6 +115,25 @@ def test_invalid_config_exit_code(runner, tmp_path):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("transformer", "heads", 3),      # width 8 is not a multiple of 3
+    ("loss", "lam", -1),
+    ("vae", "latent_dim", 16),        # the data's state dim is 16
+    ("vae", "hidden", 64),
+    ("training", "batch_size", 0),
+])
+def test_train_bad_config_value_exit_code(runner, tmp_path, section, key, value):
+    data = run_generate(runner, tmp_path)
+    bad = copy.deepcopy(SMALL_CONFIG)
+    bad.setdefault(section, {})[key] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(bad))
+    res = runner.invoke(main, ["train", "--config", str(cfg), "--data", str(data),
+                              "--out", str(tmp_path / "train")])
+    assert res.exit_code == 3, res.output
+    assert "invalid config" in res.output
+
+
 # ------------------------------------------------------------ train and infer
 
 
@@ -135,6 +165,8 @@ def test_train_infer_uq_pipeline(runner, tmp_path):
     header = (tmp_path / "uq/metrics.csv").read_text().split("\n")[0]
     assert header == ("mu,omega,relative_mse_percent,crps_printed,crps_abs,"
                       "scaled_mse_mean")
+    assert_csvs_load(tmp_path / "infer")
+    assert_csvs_load(tmp_path / "uq")
 
 
 def test_uq_output_deterministic(runner, tmp_path):
@@ -177,6 +209,28 @@ def test_adapt_runs_one_iteration(runner, tmp_path):
     assert (tmp_path / "adapt/iter0_nu.csv").exists()
     assert (tmp_path / "adapt/iter1_nu.csv").exists()
     assert (tmp_path / "adapt/checkpoint/manifest.json").exists()
+    assert_csvs_load(tmp_path / "adapt")
+
+
+def test_adapt_resolved_config_records_overrides(runner, tmp_path):
+    data = run_generate(runner, tmp_path)
+    ckpt = run_train(runner, tmp_path, data)
+    res = runner.invoke(main, ["adapt", "--config", str(tmp_path / "config.json"),
+                              "--checkpoint", str(ckpt), "--data", str(data),
+                              "--budget", "2", "--threshold", "0.5", "--seed", "4",
+                              "--out", str(tmp_path / "adapt")])
+    assert res.exit_code == 0, res.output
+    resolved = tmp_path / "adapt/resolved_config.json"
+    recorded = json.loads(resolved.read_text())
+    assert recorded["adaptive"]["budget"] == 2
+    assert recorded["adaptive"]["threshold"] == 0.5
+    assert recorded["seed"] == 4
+    # the record is a valid config that resolves to itself
+    res = runner.invoke(main, ["generate", "--config", str(resolved),
+                              "--sweep", "mu=0.3", "--seed", "4",
+                              "--out", str(tmp_path / "again")])
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "again/resolved_config.json").read_bytes() == resolved.read_bytes()
 
 
 def test_adapt_empty_grid_exit_code(runner, tmp_path):
@@ -202,6 +256,7 @@ def test_report_emits_ke_tables(runner, tmp_path):
     lines = (data / "ke_hopf_mu0.3.csv").read_text().strip().split("\n")
     assert lines[0] == "t,kinetic_energy"
     assert len(lines) == 41
+    assert_csvs_load(data)
 
 
 def test_report_exit_codes(runner, tmp_path):
