@@ -43,6 +43,13 @@ def _load_config(path) -> RunConfig:
         _fail(EXIT_CONFIG, f"invalid config: {exc}")
 
 
+def _resolve_seed(config: RunConfig, seed) -> int:
+    """An explicit --seed wins over the config's ``seed``."""
+    if seed is not None:
+        config.seed = seed
+    return config.seed
+
+
 def _parse_sweep(sweep: str):
     if not sweep or "=" not in sweep:
         _fail(EXIT_BAD_ARGS, f"sweep must look like name=v1,v2,... got {sweep!r}")
@@ -77,13 +84,23 @@ def _load_dataset(data_dir: Path):
     files = sorted(data_dir.glob("*.updr"))
     if not files:
         _fail(EXIT_MISSING_INPUT, f"no .updr trajectory files in {data_dir}")
-    return [read_trajectory(f) for f in files]
+    return [_read_trajectory(f) for f in files]
+
+
+def _read_trajectory(path) -> Trajectory:
+    try:
+        return read_trajectory(path)
+    except ValueError as exc:
+        _fail(EXIT_BAD_ARGS, str(exc))
 
 
 def _load_checkpoint(path: Path) -> ModelCheckpoint:
     if not (path / "manifest.json").exists():
         _fail(EXIT_MISSING_INPUT, f"no checkpoint manifest in {path}")
-    return ModelCheckpoint.load(path)
+    try:
+        return ModelCheckpoint.load(path)
+    except ValueError as exc:
+        _fail(EXIT_BAD_ARGS, str(exc))
 
 
 @click.group()
@@ -96,12 +113,12 @@ def main():
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--case", type=click.Choice(["ks", "hopf"]), default=None)
 @click.option("--sweep", required=True, help="name=v1,v2,... parameter sweep")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=int, default=None, help="overrides the config's seed")
 @click.option("--out", "out_dir", type=click.Path(), default="runs/data")
 def generate(config_path, case, sweep, seed, out_dir):
     """Generate one trajectory file per sweep value."""
     config = _load_config(config_path)
-    config.seed = seed
+    seed = _resolve_seed(config, seed)
     case = config.datagen.case = case or config.datagen.case
     name, values = _parse_sweep(sweep)
     out = Path(out_dir)
@@ -126,12 +143,12 @@ def generate(config_path, case, sweep, seed, out_dir):
 @main.command("train")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--data", "data_dir", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=int, default=None, help="overrides the config's seed")
 @click.option("--out", "out_dir", type=click.Path(), default="runs/train")
 def cmd_train(config_path, data_dir, seed, out_dir):
     """Train on the even-index split of every trajectory in --data."""
     config = _load_config(config_path)
-    config.seed = seed
+    seed = _resolve_seed(config, seed)
     dataset = _load_dataset(Path(data_dir))
     train_set = [split_even_odd(t)[0] for t in dataset]
     try:
@@ -173,7 +190,7 @@ def cmd_infer(ckpt_dir, data_file, out_dir):
     if not Path(data_file).exists():
         _fail(EXIT_MISSING_INPUT, f"data file not found: {data_file}")
     ckpt = _load_checkpoint(Path(ckpt_dir))
-    traj = read_trajectory(data_file)
+    traj = _read_trajectory(data_file)
     predicted, truth = _predict_for(ckpt, traj)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -201,7 +218,7 @@ def cmd_uq(ckpt_dir, data_file, ensemble_n, seed, out_dir):
     if not Path(data_file).exists():
         _fail(EXIT_MISSING_INPUT, f"data file not found: {data_file}")
     ckpt = _load_checkpoint(Path(ckpt_dir))
-    traj = read_trajectory(data_file)
+    traj = _read_trajectory(data_file)
     predicted, truth = _predict_for(ckpt, traj)
     field, ensemble = second_pass(predicted, ckpt, traj.param, n=ensemble_n,
                                   seed=seed)
@@ -224,12 +241,12 @@ def cmd_uq(ckpt_dir, data_file, ensemble_n, seed, out_dir):
               help="directory with the initial training trajectories")
 @click.option("--budget", type=int, default=None)
 @click.option("--threshold", type=float, default=None)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=int, default=None, help="overrides the config's seed")
 @click.option("--out", "out_dir", type=click.Path(), default="runs/adapt")
 def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir):
     """Uncertainty-driven adaptive sampling over the configured grid."""
     config = _load_config(config_path)
-    config.seed = seed
+    seed = _resolve_seed(config, seed)
     if budget is not None:
         config.adaptive.budget = budget
     if threshold is not None:
@@ -274,7 +291,7 @@ def cmd_report(out_dir):
     if not files:
         _fail(EXIT_MISSING_INPUT, f"no trajectory artifacts under {out}")
     for path in files:
-        traj = read_trajectory(path)
+        traj = _read_trajectory(path)
         write_csv(path.parent / f"ke_{path.stem}.csv", ("t", "kinetic_energy"),
                   enumerate(kinetic_energy(traj.states)))
     click.echo(f"wrote kinetic-energy tables for {len(files)} trajectories")

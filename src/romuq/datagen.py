@@ -312,26 +312,37 @@ def write_trajectory(path, traj: Trajectory):
         f.write("\n")
 
 
+def _read_exact(f, n: int, path) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise ValueError(f"truncated trajectory file {path}: "
+                         f"needs {n} more bytes, has {len(data)}")
+    return data
+
+
 def read_trajectory(path) -> Trajectory:
+    """Load a file written by :func:`write_trajectory`; a truncated file or
+    one with bytes after the payload raises ValueError naming the path."""
     path = Path(path)
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != MAGIC:
             raise ValueError(f"bad magic {magic!r} in {path}")
-        version, = struct.unpack("<I", f.read(4))
+        version, = struct.unpack("<I", _read_exact(f, 4, path))
         if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {version}")
-        n_t, = struct.unpack("<Q", f.read(8))
-        n_xy, = struct.unpack("<Q", f.read(8))
-        dt, = struct.unpack("<d", f.read(8))
-        n_params, = struct.unpack("<I", f.read(4))
+            raise ValueError(f"unsupported format version {version} in {path}")
+        n_t, n_xy = struct.unpack("<QQ", _read_exact(f, 16, path))
+        dt, = struct.unpack("<d", _read_exact(f, 8, path))
+        n_params, = struct.unpack("<I", _read_exact(f, 4, path))
         params = {}
         for _ in range(n_params):
-            name_len, = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            value, = struct.unpack("<d", f.read(8))
+            name_len, = struct.unpack("<H", _read_exact(f, 2, path))
+            name = _read_exact(f, name_len, path).decode("utf-8")
+            value, = struct.unpack("<d", _read_exact(f, 8, path))
             params[name] = value
-        payload = np.frombuffer(f.read(n_t * n_xy * 4), dtype="<f4")
+        payload = np.frombuffer(_read_exact(f, n_t * n_xy * 4, path), dtype="<f4")
+        if f.read(1):
+            raise ValueError(f"trailing bytes after the payload in {path}")
     states = payload.reshape(n_t, n_xy).astype(np.float64)
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     grid = Grid(1.0, n_xy)

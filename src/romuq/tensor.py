@@ -7,6 +7,7 @@ replays the tape in reverse and accumulates gradients additively.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -122,20 +123,25 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
-def _active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+def _all_finite(x: np.ndarray) -> bool:
+    """True when every element of ``x`` is finite. A finite sum of squares
+    proves it, so only a non-finite one needs the elementwise test; np.vdot
+    (unlike a sum) raises no floating-point warning when it overflows."""
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
 def _record(name: str, inputs: Sequence[Tensor], out_data: np.ndarray,
             backward_fn: Callable) -> Tensor:
-    tape = _active_tape()
-    idx = len(tape.ops) if tape is not None else -1
-    if not np.all(np.isfinite(out_data)):
-        raise NonFiniteError(name, idx)
-    needs_grad = any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=needs_grad and tape is not None)
-    if out.requires_grad:
-        tape.ops.append(_TapeEntry(name, tuple(inputs), out, backward_fn))
+    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
+    if not _all_finite(out_data):
+        raise NonFiniteError(name, len(tape.ops) if tape is not None else -1)
+    out = Tensor(out_data)
+    if tape is not None:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                tape.ops.append(_TapeEntry(name, tuple(inputs), out, backward_fn))
+                break
     return out
 
 
@@ -149,42 +155,44 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor):
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(op, a.shape, b.shape) from None
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise ShapeError("add", a.shape, b.shape) from None
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _record("add", (a, b), a.data + b.data, bwd)
+    return _record("add", (a, b), out, bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("sub", a, b)
+    try:
+        out = a.data - b.data
+    except ValueError:
+        raise ShapeError("sub", a.shape, b.shape) from None
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _record("sub", (a, b), a.data - b.data, bwd)
+    return _record("sub", (a, b), out, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("mul", a, b)
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise ShapeError("mul", a.shape, b.shape) from None
 
     def bwd(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _record("mul", (a, b), a.data * b.data, bwd)
+    return _record("mul", (a, b), out, bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -288,7 +296,7 @@ def layer_norm(a: Tensor, eps: float = 1e-9) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.size and -1 not in shape:
+    if math.prod(shape) != a.size and -1 not in shape:
         raise ShapeError("reshape", a.shape, shape)
     out = a.data.reshape(shape)
 
@@ -302,10 +310,9 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(a.data.ndim)))
     axes = tuple(axes)
-    inv = np.argsort(axes)
 
     def bwd(g):
-        return (g.transpose(inv),)
+        return (g.transpose(np.argsort(axes)),)
 
     return _record("transpose", (a,), a.data.transpose(axes), bwd)
 
@@ -318,14 +325,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         if len(s) != len(base) or any(x != y for i, (x, y) in enumerate(zip(s, base)) if i != axis % len(base)):
             raise ShapeError("concat", tensors[0].shape, t.shape)
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    lead = (slice(None),) * (axis % out.ndim)
+    offsets = list(itertools.accumulate((t.shape[axis] for t in tensors), initial=0))
 
     def bwd(g):
-        return tuple(
-            np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
-        )
+        return tuple(g[lead + (slice(start, stop),)]
+                     for start, stop in zip(offsets, offsets[1:]))
 
     return _record("concat", tuple(tensors), out, bwd)
 

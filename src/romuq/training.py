@@ -4,6 +4,7 @@ and replay-based retraining."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -17,6 +18,9 @@ from .optim import Adam
 from .tensor import Tape, Tensor
 from .transformer import LatentTransformer, rollout
 from .vae import Vae, kld, reparameterize
+
+
+CHECKPOINT_VERSION = 1
 
 
 class TrainingDiverged(RuntimeError):
@@ -96,7 +100,7 @@ class ModelCheckpoint:
             shapes.append(list(p.data.shape))
             blobs.append(p.data.astype("<f8").tobytes())
         manifest = {
-            "format_version": 1,
+            "format_version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
             "stats": self.stats.to_dict(),
             "seed": self.seed,
@@ -113,9 +117,22 @@ class ModelCheckpoint:
 
     @classmethod
     def load(cls, directory) -> "ModelCheckpoint":
+        """Rebuild a saved checkpoint; a manifest of another format version,
+        or a weights file that does not hold exactly the manifest's weights,
+        raises ValueError naming the file."""
         directory = Path(directory)
         with open(directory / "manifest.json") as f:
             manifest = json.load(f)
+        version = manifest.get("format_version")
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint format_version {version!r} "
+                             f"in {directory / 'manifest.json'}")
+        raw = (directory / "weights.bin").read_bytes()
+        shapes = [tuple(entry["shape"]) for entry in manifest["weights"]]
+        expected = 8 * sum(math.prod(shape) for shape in shapes)
+        if len(raw) != expected:
+            raise ValueError(f"{directory / 'weights.bin'} holds {len(raw)} bytes; "
+                             f"the manifest's weight shapes need {expected}")
         config = parse(TrainConfig, manifest["config"], "config", derived=True)
         rng = np.random.default_rng(manifest["seed"])
         vae = Vae(config.vae, rng)
@@ -124,15 +141,17 @@ class ModelCheckpoint:
                    stats=NormStats.from_dict(manifest["stats"]),
                    seed=manifest["seed"], lineage=manifest["lineage"],
                    loss_curve=manifest["loss_curve"])
-        raw = (directory / "weights.bin").read_bytes()
         offset = 0
         params = dict(ckpt.named_parameters())
-        for entry in manifest["weights"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        for entry, shape in zip(manifest["weights"], shapes):
+            p = params.get(entry["name"])
+            if p is None or p.shape != shape:
+                raise ValueError(f"weight {entry['name']!r} of shape {shape} in "
+                                 f"{directory / 'manifest.json'} does not fit the model")
+            count = math.prod(shape)
+            p.data = np.frombuffer(raw, dtype="<f8", count=count,
+                                   offset=offset).reshape(shape).copy()
             offset += count * 8
-            params[entry["name"]].data = arr.reshape(shape).copy()
         return ckpt
 
 

@@ -36,6 +36,7 @@ class AttentionBlock:
     def __init__(self, config: TransformerConfig, params: T.Params, index: int):
         d = config.width
         self.config = config
+        self.mask = Tensor(causal_mask(config.lookback))
 
         def lin(name, n_in, n_out):
             return params.linear(f"block{index}.{name}", n_in, n_out)
@@ -73,7 +74,7 @@ class AttentionBlock:
         v = self._heads_split(T.linear(kv_in, proj_v), batch, kv_len)
         scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
         if mask is not None:
-            scores = T.add(scores, Tensor(mask))
+            scores = T.add(scores, mask)
         weights = T.softmax(scores)
         ctx = self._heads_join(T.matmul(weights, v), batch, q_len)
         return T.linear(ctx, proj_o)
@@ -83,7 +84,8 @@ class AttentionBlock:
         return T.add(T.mul(T.layer_norm(x), gamma), beta)
 
     def __call__(self, x: Tensor, xi_tokens: Tensor) -> Tensor:
-        mask = causal_mask(x.shape[1])
+        length = x.shape[1]
+        mask = self.mask if length == self.config.lookback else Tensor(causal_mask(length))
         x = self._ln(T.add(x, self._attend(x, x, self.wq, self.wk, self.wv,
                                            self.wo, mask)), self.ln1)
         x = self._ln(T.add(x, self._attend(x, xi_tokens, self.cq, self.ck,
@@ -103,7 +105,7 @@ class LatentTransformer:
         self.xi_proj = p.linear("xi_proj", c.param_dim, c.width)
         self.blocks = [AttentionBlock(c, p, i) for i in range(c.blocks)]
         self.out_head = p.linear("out_head", c.width, c.horizon * c.latent_dim)
-        self.pos = sinusoidal_encoding(c.lookback, c.width)
+        self.pos = Tensor(sinusoidal_encoding(c.lookback, c.width))
 
     def named_parameters(self):
         return list(self.params.named)
@@ -121,7 +123,7 @@ class LatentTransformer:
             raise T.ShapeError("forecast", x.shape, (c.lookback, c.latent_dim))
         self.forward_count += 1
         batch = x.shape[0]
-        h = T.add(T.linear(x, self.in_proj), Tensor(self.pos))
+        h = T.add(T.linear(x, self.in_proj), self.pos)
         xi_tokens = T.reshape(T.linear(param_rows(xi, batch, c.param_dim), self.xi_proj),
                               (batch, 1, c.width))
         for block in self.blocks:

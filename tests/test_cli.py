@@ -80,6 +80,31 @@ def test_generate_is_byte_deterministic(runner, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_generate_seed_follows_config(runner, tmp_path):
+    cfg = tmp_path / "seeded.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONFIG, seed=7,
+                                   datagen={"case": "ks", "n_x": 16, "n_t": 20})))
+
+    def generate(out, *seed):
+        res = runner.invoke(main, ["generate", "--config", str(cfg), "--sweep",
+                                  "nu=1.0", *seed, "--out", str(tmp_path / out)])
+        assert res.exit_code == 0, res.output
+        return tmp_path / out
+
+    def recorded(out):
+        return (json.loads((out / "manifest.json").read_text())["seed"],
+                json.loads((out / "resolved_config.json").read_text())["seed"])
+
+    implicit = generate("implicit")
+    assert recorded(implicit) == (7, 7)
+    assert (implicit / "ks_nu1.updr").read_bytes() == \
+        (generate("seven", "--seed", "7") / "ks_nu1.updr").read_bytes()
+    explicit = generate("three", "--seed", "3")
+    assert recorded(explicit) == (3, 3)  # an explicit --seed still wins
+    assert (explicit / "ks_nu1.updr").read_bytes() != \
+        (implicit / "ks_nu1.updr").read_bytes()
+
+
 def test_generate_rejects_malformed_sweep(runner, tmp_path):
     cfg = tmp_path / "config.json"
     write_config(cfg)
@@ -185,6 +210,42 @@ def test_train_missing_data_exit_code(runner, tmp_path):
     (tmp_path / "empty").mkdir()
     res = runner.invoke(main, ["train", "--data", str(tmp_path / "empty")])
     assert res.exit_code == 2
+
+
+def test_malformed_inputs_exit_5_naming_the_file(runner, tmp_path):
+    data = run_generate(runner, tmp_path)
+    ckpt = run_train(runner, tmp_path, data)
+    traj = data / "hopf_mu0.3.updr"
+    cfg = str(tmp_path / "config.json")
+    out = ["--out", str(tmp_path / "out")]
+    commands = [
+        ["infer", "--checkpoint", str(ckpt), "--data", str(traj), *out],
+        ["uq", "--checkpoint", str(ckpt), "--data", str(traj), "--n", "2", *out],
+        ["adapt", "--config", cfg, "--checkpoint", str(ckpt), "--data", str(data), *out],
+    ]
+
+    def assert_exit_5(args, bad, message):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 5, res.output
+        assert str(bad) in res.output and message in res.output
+
+    good = traj.read_bytes()
+    for content, message in ((good[:-4], "truncated"), (good + b"\0", "trailing")):
+        traj.write_bytes(content)
+        for args in commands + [["report", "--out", str(data)]]:
+            assert_exit_5(args, traj, message)
+    traj.write_bytes(good)
+
+    weights = ckpt / "weights.bin"
+    weights.write_bytes(weights.read_bytes() + b"\0" * 8)
+    for args in commands:
+        assert_exit_5(args, weights, "bytes")
+    weights.write_bytes(weights.read_bytes()[:-8])
+    manifest = ckpt / "manifest.json"
+    manifest.write_text(manifest.read_text().replace('"format_version": 1',
+                                                     '"format_version": 2'))
+    for args in commands:
+        assert_exit_5(args, manifest, "format_version")
 
 
 def test_infer_missing_inputs_exit_codes(runner, tmp_path):

@@ -205,3 +205,23 @@ def test_trajectory_file_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + bytes(64))
     with pytest.raises(ValueError):
         read_trajectory(path)
+
+
+def test_trajectory_file_truncated_payload_names_path(tmp_path):
+    path = tmp_path / "short.updr"
+    write_trajectory(path, solve_hopf_surrogate(0.3, n_t=20, n_x=8))
+    raw = path.read_bytes()
+    for cut in (1, 4 * 8, len(raw) - 30):  # inside the payload and the header
+        path.write_bytes(raw[:-cut])
+        with pytest.raises(ValueError, match="truncated") as err:
+            read_trajectory(path)
+        assert str(path) in str(err.value)
+
+
+def test_trajectory_file_trailing_bytes_names_path(tmp_path):
+    path = tmp_path / "long.updr"
+    write_trajectory(path, solve_hopf_surrogate(0.3, n_t=20, n_x=8))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes") as err:
+        read_trajectory(path)
+    assert str(path) in str(err.value)

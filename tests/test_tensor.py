@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,3 +192,122 @@ def test_softmax_normalisation_property(row):
     out = T.softmax(Tensor(row)).data
     assert abs(out.sum() - 1.0) < 1e-12
     assert np.all(out > 0)
+
+
+# ------------------------------------------------------- fast-path guards
+
+PRIMITIVE_LABELS = {"matmul", "add", "sub", "mul", "scale", "exp", "log",
+                    "tanh", "gelu", "softmax", "layer_norm", "reshape",
+                    "transpose", "concat", "slice", "sum", "mean"}
+
+# Primitives whose own arithmetic raises no floating-point warning on
+# inf/nan inputs, so any warning would come from the finiteness check;
+# each with the numpy expression of its output.
+COPYING_PRIMITIVES = {
+    "scale": (lambda a: T.scale(a, 1.0), lambda x: x * 1.0),
+    "reshape": (lambda a: T.reshape(a, (-1,)), lambda x: x.reshape(-1)),
+    "transpose": (T.transpose, lambda x: x.T),
+    "slice": (lambda a: T.slice_axis(a, 1, 1, 3), lambda x: x[:, 1:]),
+    "concat": (lambda a: T.concat([a, a], axis=1),
+               lambda x: np.concatenate([x, x], axis=1)),
+}
+
+special_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e308, -1e308, 1e200, -1e200, 1e154, np.inf, -np.inf, np.nan]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(special_floats, min_size=6, max_size=6),
+       st.sampled_from(sorted(COPYING_PRIMITIVES)),
+       st.integers(0, 3), st.booleans())
+def test_non_finite_raised_exactly_when_an_element_is(values, name, before, taped):
+    """The finiteness check answers as the elementwise test does, with the
+    op index of the tape, and adds no floating-point warning."""
+    data = np.array(values).reshape(2, 3)
+    a = Tensor(data, requires_grad=True)
+    w = Tensor(np.ones(2), requires_grad=True)
+    primitive, reference = COPYING_PRIMITIVES[name]
+    expect_raise = not np.isfinite(reference(data)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if taped:
+            with Tape() as tape:
+                for _ in range(before):
+                    T.scale(w, 2.0)
+                if expect_raise:
+                    with pytest.raises(NonFiniteError) as err:
+                        primitive(a)
+                    assert err.value.op_index == before
+                    assert err.value.op == name
+                    assert len(tape) == before
+                else:
+                    primitive(a)
+                    assert len(tape) == before + 1
+        elif expect_raise:
+            with pytest.raises(NonFiniteError) as err:
+                primitive(a)
+            assert err.value.op_index == -1
+        else:
+            primitive(a)
+
+
+def test_finite_output_whose_sum_overflows_is_accepted():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.scale(Tensor([1e308, 1e308]), 1.0)
+        np.testing.assert_array_equal(out.data, [1e308, 1e308])
+        T.add(Tensor([1e200, -1e200]), Tensor([1e200, -1e200]))
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_elementwise_shape_error_names_op_and_both_shapes(op):
+    with pytest.raises(ShapeError) as err:
+        getattr(T, op)(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 1, 2))))
+    assert err.value.op == op
+    assert err.value.shapes == ((2, 3), (4, 1, 2))
+    assert str(err.value) == f"{op}: incompatible shapes (2, 3) vs (4, 1, 2)"
+
+
+def hopf_adapt_models():
+    """The transformer and VAE sizes of the Hopf adaptive fixture."""
+    from romuq.config import TransformerConfig, VaeConfig
+    from romuq.transformer import LatentTransformer
+    from romuq.vae import Vae
+
+    rng = np.random.default_rng(0)
+    vae = Vae(VaeConfig(state_dim=64, latent_dim=4, hidden=(64,), param_dim=2,
+                        embed_dim=8), rng)
+    transformer = LatentTransformer(
+        TransformerConfig(lookback=10, horizon=10, latent_dim=4, width=64,
+                          heads=4, blocks=1, param_dim=2), rng)
+    return vae, transformer
+
+
+def test_forecast_without_tape_records_nothing():
+    _, transformer = hopf_adapt_models()
+    window = np.random.default_rng(1).standard_normal((1, 10, 4))
+    with Tape() as tape:
+        taped = transformer.forecast(window, np.zeros(2))
+    assert len(tape) == 71
+    out = transformer.forecast(window, np.zeros(2))
+    assert len(tape) == 71 and not T._TAPE_STACK
+    assert not out.requires_grad
+    assert out.data.tobytes() == taped.data.tobytes()
+
+
+def test_training_step_records_every_op_by_a_primitive():
+    from romuq.config import LossWeights
+    from romuq.training import total_loss
+
+    vae, transformer = hopf_adapt_models()
+    rng = np.random.default_rng(2)
+    with Tape() as tape:
+        loss, _ = total_loss(vae, transformer, rng.standard_normal((3, 10, 64)),
+                             rng.standard_normal((3, 10, 64)),
+                             rng.standard_normal((3, 2)), LossWeights(),
+                             rng.standard_normal((3, 10, 4)))
+        backward(tape, loss)
+    assert len(tape) == 135
+    assert {entry.name for entry in tape.ops} <= PRIMITIVE_LABELS

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -178,3 +180,41 @@ def test_retrain_improves_loss_on_new_data():
     retrain(ckpt, new, dataset, replay_fraction=0.25, epochs=5, seed=10)
     assert len(ckpt.loss_curve) == n_before + 5
     assert len(ckpt.lineage) == 2
+
+
+def saved_checkpoint(tmp_path):
+    ckpt = train(tiny_dataset(), tiny_config(epochs=1), seed=5)
+    ckpt.save(tmp_path / "ck")
+    return tmp_path / "ck"
+
+
+@pytest.mark.parametrize("change", [b"\0" * 8, b"\0", -8],
+                         ids=["extra_weight", "extra_byte", "short"])
+def test_checkpoint_load_refuses_weights_of_wrong_size(tmp_path, change):
+    ck = saved_checkpoint(tmp_path)
+    weights = ck / "weights.bin"
+    raw = weights.read_bytes()
+    weights.write_bytes(raw[:change] if isinstance(change, int) else raw + change)
+    with pytest.raises(ValueError, match="weights.bin") as err:
+        ModelCheckpoint.load(ck)
+    assert "bytes" in str(err.value)
+
+
+@pytest.mark.parametrize("version", [2, 0, None])
+def test_checkpoint_load_refuses_other_format_versions(tmp_path, version):
+    ck = saved_checkpoint(tmp_path)
+    manifest = json.loads((ck / "manifest.json").read_text())
+    manifest["format_version"] = version
+    (ck / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="format_version"):
+        ModelCheckpoint.load(ck)
+
+
+def test_checkpoint_load_refuses_weight_shapes_the_model_lacks(tmp_path):
+    ck = saved_checkpoint(tmp_path)
+    manifest = json.loads((ck / "manifest.json").read_text())
+    first, second = manifest["weights"][:2]
+    first["shape"], second["shape"] = second["shape"], first["shape"]
+    (ck / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="does not fit"):
+        ModelCheckpoint.load(ck)
