@@ -4,6 +4,7 @@ even/odd splitting, normalisation and the on-disk trajectory format."""
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -340,9 +341,16 @@ def read_trajectory(path) -> Trajectory:
             name = _read_exact(f, name_len, path).decode("utf-8")
             value, = struct.unpack("<d", _read_exact(f, 8, path))
             params[name] = value
-        payload = np.frombuffer(_read_exact(f, n_t * n_xy * 4, path), dtype="<f4")
-        if f.read(1):
+        # Size the payload against the file before reading it, so corrupted
+        # count fields cannot ask for an impossible allocation.
+        need = n_t * n_xy * 4
+        have = os.fstat(f.fileno()).st_size - f.tell()
+        if have < need:
+            raise ValueError(f"truncated trajectory file {path}: "
+                             f"needs {need} more bytes, has {have}")
+        if have > need:
             raise ValueError(f"trailing bytes after the payload in {path}")
+        payload = np.frombuffer(f.read(need), dtype="<f4")
     states = payload.reshape(n_t, n_xy).astype(np.float64)
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     grid = Grid(1.0, n_xy)

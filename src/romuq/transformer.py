@@ -84,10 +84,10 @@ class AttentionBlock:
         return T.add(T.mul(T.layer_norm(x), gamma), beta)
 
     def __call__(self, x: Tensor, xi_tokens: Tensor) -> Tensor:
-        length = x.shape[1]
-        mask = self.mask if length == self.config.lookback else Tensor(causal_mask(length))
+        if x.shape[1] != self.config.lookback:
+            raise T.ShapeError("attention_block", x.shape, (self.config.lookback,))
         x = self._ln(T.add(x, self._attend(x, x, self.wq, self.wk, self.wv,
-                                           self.wo, mask)), self.ln1)
+                                           self.wo, self.mask)), self.ln1)
         x = self._ln(T.add(x, self._attend(x, xi_tokens, self.cq, self.ck,
                                            self.cv, self.co)), self.ln2)
         h = T.linear(T.gelu(T.linear(x, self.ff1)), self.ff2)

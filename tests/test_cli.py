@@ -230,7 +230,9 @@ def test_malformed_inputs_exit_5_naming_the_file(runner, tmp_path):
         assert str(bad) in res.output and message in res.output
 
     good = traj.read_bytes()
-    for content, message in ((good[:-4], "truncated"), (good + b"\0", "trailing")):
+    huge_n_t = good[:8] + (2 ** 62).to_bytes(8, "little") + good[16:]
+    for content, message in ((good[:-4], "truncated"), (good + b"\0", "trailing"),
+                             (huge_n_t, "truncated")):
         traj.write_bytes(content)
         for args in commands + [["report", "--out", str(data)]]:
             assert_exit_5(args, traj, message)

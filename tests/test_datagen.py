@@ -218,6 +218,17 @@ def test_trajectory_file_truncated_payload_names_path(tmp_path):
         assert str(path) in str(err.value)
 
 
+def test_trajectory_file_huge_count_fields_raise_before_reading(tmp_path):
+    path = tmp_path / "huge.updr"
+    write_trajectory(path, solve_hopf_surrogate(0.3, n_t=20, n_x=8))
+    raw = bytearray(path.read_bytes())
+    raw[8:16] = (2 ** 62).to_bytes(8, "little")  # n_t field of the header
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="truncated") as err:
+        read_trajectory(path)
+    assert str(path) in str(err.value)
+
+
 def test_trajectory_file_trailing_bytes_names_path(tmp_path):
     path = tmp_path / "long.updr"
     write_trajectory(path, solve_hopf_surrogate(0.3, n_t=20, n_x=8))

@@ -39,6 +39,14 @@ def test_block_causality():
         assert np.max(np.abs(out[0, j:] - base[0, j:])) > 0
 
 
+def test_block_refuses_window_other_than_lookback():
+    model = make_model(lookback=6)
+    xi_tokens = Tensor(np.zeros((1, 1, 16)))
+    for length in (1, 5, 7):
+        with pytest.raises(T.ShapeError, match="attention_block"):
+            model.blocks[0](Tensor(np.zeros((1, length, 16))), xi_tokens)
+
+
 def test_block_zero_value_projection_reduces_to_feedforward_path():
     model = make_model(heads=1)
     block = model.blocks[0]
