@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .adaptive import run_loop
 from .config import ConfigError, RunConfig, write_resolved
@@ -16,31 +17,42 @@ from .datagen import (ParamPoint, SolverError, Trajectory, read_trajectory,
                       write_trajectory)
 from .metrics import (MetricReport, crps, kinetic_energy, relative_mse, scaled_mse,
                       write_csv)
+from .tensor import NonFiniteError
 from .training import ModelCheckpoint, TrainingDiverged, predict_rollout, train
 from .transformer import RolloutDivergence
 from .uq import second_pass, write_nu_xi_csv, write_uq_csvs
 
-EXIT_OK = 0
-EXIT_MISSING_INPUT = 2
-EXIT_CONFIG = 3
-EXIT_DIVERGENCE = 4
-EXIT_BAD_ARGS = 5
+# Every failure a command reports instead of a traceback: the first entry
+# whose exception types match gives the exit code and the message prefix.
+# ConfigError subclasses ValueError, so it must come before it.
+EXIT_CODES = (
+    (FileNotFoundError, 2, ""),
+    (ConfigError, 3, "invalid config: "),
+    ((SolverError, TrainingDiverged, RolloutDivergence, NonFiniteError), 4, ""),
+    (ValueError, 5, ""),
+)
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _Cli(click.Group):
+    """Runs a command and turns a failure listed in EXIT_CODES into its
+    exit code and a one-line message; anything else keeps its traceback.
+    Numpy's floating-point warnings are off: the tape and the solvers
+    detect non-finite values and say where."""
+
+    def invoke(self, ctx):
+        try:
+            with np.errstate(all="ignore"):
+                return super().invoke(ctx)
+        except Exception as exc:
+            for kinds, code, prefix in EXIT_CODES:
+                if isinstance(exc, kinds):
+                    click.echo(f"error: {prefix}{exc}", err=True)
+                    sys.exit(code)
+            raise
 
 
 def _load_config(path) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    if not Path(path).exists():
-        _fail(EXIT_MISSING_INPUT, f"config file not found: {path}")
-    try:
-        return RunConfig.load(path)
-    except (ValueError, TypeError) as exc:  # ConfigError, JSONDecodeError
-        _fail(EXIT_CONFIG, f"invalid config: {exc}")
+    return RunConfig() if path is None else RunConfig.load(path)
 
 
 def _resolve_seed(config: RunConfig, seed) -> int:
@@ -51,16 +63,11 @@ def _resolve_seed(config: RunConfig, seed) -> int:
 
 
 def _parse_sweep(sweep: str):
-    if not sweep or "=" not in sweep:
-        _fail(EXIT_BAD_ARGS, f"sweep must look like name=v1,v2,... got {sweep!r}")
     name, _, rest = sweep.partition("=")
     values = [v for v in rest.split(",") if v.strip()]
-    if not values:
-        _fail(EXIT_BAD_ARGS, "empty sweep")
-    try:
-        return name.strip(), [float(v) for v in values]
-    except ValueError as exc:
-        _fail(EXIT_BAD_ARGS, f"bad sweep value: {exc}")
+    if not name.strip() or not values:
+        raise ValueError(f"sweep must look like name=v1,v2,... got {sweep!r}")
+    return name.strip(), [float(v) for v in values]
 
 
 def _generate_one(config: RunConfig, case: str, name: str, value: float,
@@ -68,42 +75,35 @@ def _generate_one(config: RunConfig, case: str, name: str, value: float,
     dg = config.datagen
     if case == "ks":
         if name not in ("nu", "ks_nu"):
-            _fail(EXIT_BAD_ARGS, f"ks sweeps over 'nu', got {name!r}")
+            raise ValueError(f"ks sweeps over 'nu', got {name!r}")
         return solve_ks(nu=value, n_x=dg.n_x, domain_length=dg.domain_length,
                         dt=dg.dt, n_t=dg.n_t, seed=seed, init_scale=dg.init_scale)
     if case == "hopf":
         if name != "mu":
-            _fail(EXIT_BAD_ARGS, f"hopf sweeps over 'mu', got {name!r}")
+            raise ValueError(f"hopf sweeps over 'mu', got {name!r}")
         return solve_hopf_surrogate(mu=value, omega=dg.omega, n_x=dg.n_x,
                                     dt=dg.dt, n_t=dg.n_t,
                                     init_amplitude=dg.init_amplitude)
-    _fail(EXIT_BAD_ARGS, f"unknown case {case!r}")
+    raise ValueError(f"unknown case {case!r}")
 
 
 def _load_dataset(data_dir: Path):
     files = sorted(data_dir.glob("*.updr"))
     if not files:
-        _fail(EXIT_MISSING_INPUT, f"no .updr trajectory files in {data_dir}")
-    return [_read_trajectory(f) for f in files]
+        raise FileNotFoundError(f"no .updr trajectory files in {data_dir}")
+    return [read_trajectory(f) for f in files]
 
 
-def _read_trajectory(path) -> Trajectory:
+def _grid(config: RunConfig) -> list:
+    if not config.adaptive.grid:
+        raise ConfigError("adaptive.grid is empty")
     try:
-        return read_trajectory(path)
-    except ValueError as exc:
-        _fail(EXIT_BAD_ARGS, str(exc))
+        return [ParamPoint.of(**g) for g in config.adaptive.grid]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad adaptive.grid entry: {exc}") from exc
 
 
-def _load_checkpoint(path: Path) -> ModelCheckpoint:
-    if not (path / "manifest.json").exists():
-        _fail(EXIT_MISSING_INPUT, f"no checkpoint manifest in {path}")
-    try:
-        return ModelCheckpoint.load(path)
-    except ValueError as exc:
-        _fail(EXIT_BAD_ARGS, str(exc))
-
-
-@click.group()
+@click.group(cls=_Cli)
 def main():
     """Reduced-order modelling with latent forecasting, UQ and adaptive
     sampling."""
@@ -125,10 +125,7 @@ def generate(config_path, case, sweep, seed, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     files = []
     for value in values:
-        try:
-            traj = _generate_one(config, case, name, value, seed)
-        except SolverError as exc:
-            _fail(EXIT_DIVERGENCE, f"solver failed at {name}={value}: {exc}")
+        traj = _generate_one(config, case, name, value, seed)
         fname = f"{case}_{name}{value:g}.updr"
         write_trajectory(out / fname, traj)
         files.append(fname)
@@ -151,14 +148,8 @@ def cmd_train(config_path, data_dir, seed, out_dir):
     seed = _resolve_seed(config, seed)
     dataset = _load_dataset(Path(data_dir))
     train_set = [split_even_odd(t)[0] for t in dataset]
-    try:
-        tc = config.train_config(train_set[0].n_xy, len(train_set[0].param.names()))
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, f"invalid config: {exc}")
-    try:
-        ckpt = train(train_set, tc, seed, dataset_id=str(data_dir))
-    except TrainingDiverged as exc:
-        _fail(EXIT_DIVERGENCE, str(exc))
+    tc = config.train_config(train_set[0].n_xy, len(train_set[0].param.names()))
+    ckpt = train(train_set, tc, seed, dataset_id=str(data_dir))
     out = Path(out_dir)
     ckpt.save(out / "checkpoint")
     write_resolved(config, out)
@@ -173,11 +164,8 @@ def _predict_for(ckpt: ModelCheckpoint, traj: Trajectory):
     q = ckpt.config.transformer.lookback
     steps = traj.n_t - q
     if steps < 1:
-        _fail(EXIT_BAD_ARGS, f"trajectory too short for lookback {q}")
-    try:
-        predicted, _ = predict_rollout(ckpt, traj.states[:q], traj.param, steps)
-    except RolloutDivergence as exc:
-        _fail(EXIT_DIVERGENCE, str(exc))
+        raise ValueError(f"trajectory too short for lookback {q}")
+    predicted, _ = predict_rollout(ckpt, traj.states[:q], traj.param, steps)
     return predicted, traj.states[q:q + steps]
 
 
@@ -187,10 +175,8 @@ def _predict_for(ckpt: ModelCheckpoint, traj: Trajectory):
 @click.option("--out", "out_dir", type=click.Path(), default="runs/infer")
 def cmd_infer(ckpt_dir, data_file, out_dir):
     """Roll out at the trajectory's parameters; emit kinetic-energy CSV."""
-    if not Path(data_file).exists():
-        _fail(EXIT_MISSING_INPUT, f"data file not found: {data_file}")
-    ckpt = _load_checkpoint(Path(ckpt_dir))
-    traj = _read_trajectory(data_file)
+    ckpt = ModelCheckpoint.load(ckpt_dir)
+    traj = read_trajectory(data_file)
     predicted, truth = _predict_for(ckpt, traj)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -215,10 +201,8 @@ def cmd_infer(ckpt_dir, data_file, out_dir):
 @click.option("--out", "out_dir", type=click.Path(), default="runs/uq")
 def cmd_uq(ckpt_dir, data_file, ensemble_n, seed, out_dir):
     """Second-pass ensemble UQ over a rollout; emit nu CSV tables."""
-    if not Path(data_file).exists():
-        _fail(EXIT_MISSING_INPUT, f"data file not found: {data_file}")
-    ckpt = _load_checkpoint(Path(ckpt_dir))
-    traj = _read_trajectory(data_file)
+    ckpt = ModelCheckpoint.load(ckpt_dir)
+    traj = read_trajectory(data_file)
     predicted, truth = _predict_for(ckpt, traj)
     field, ensemble = second_pass(predicted, ckpt, traj.param, n=ensemble_n,
                                   seed=seed)
@@ -251,14 +235,9 @@ def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir)
         config.adaptive.budget = budget
     if threshold is not None:
         config.adaptive.threshold = threshold
-    ckpt = _load_checkpoint(Path(ckpt_dir))
+    ckpt = ModelCheckpoint.load(ckpt_dir)
     initial = _load_dataset(Path(data_dir))
-    if not config.adaptive.grid:
-        _fail(EXIT_CONFIG, "adaptive.grid is empty in the config")
-    try:
-        grid = [ParamPoint.of(**g) for g in config.adaptive.grid]
-    except (TypeError, ValueError) as exc:
-        _fail(EXIT_CONFIG, f"bad adaptive.grid entry: {exc}")
+    grid = _grid(config)
     name = grid[0].names()[0]
 
     def generator(point: ParamPoint) -> Trajectory:
@@ -266,15 +245,12 @@ def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir)
                              point[name], seed)
 
     out = Path(out_dir)
-    try:
-        run_loop(ckpt, generator, grid, config.adaptive.budget,
-                 config.adaptive.threshold,
-                 initial_data=[split_even_odd(t)[0] for t in initial],
-                 retrain_epochs=config.training.retrain_epochs,
-                 replay_fraction=config.training.replay_fraction,
-                 ensemble_n=config.uq.ensemble_n, seed=seed, out_dir=out)
-    except (SolverError, TrainingDiverged, RolloutDivergence) as exc:
-        _fail(EXIT_DIVERGENCE, str(exc))
+    run_loop(ckpt, generator, grid, config.adaptive.budget,
+             config.adaptive.threshold,
+             initial_data=[split_even_odd(t)[0] for t in initial],
+             retrain_epochs=config.training.retrain_epochs,
+             replay_fraction=config.training.replay_fraction,
+             ensemble_n=config.uq.ensemble_n, seed=seed, out_dir=out)
     ckpt.save(out / "checkpoint")
     write_resolved(config, out)
     click.echo(f"adaptive history written to {out}")
@@ -285,13 +261,11 @@ def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir)
 def cmd_report(out_dir):
     """Emit plot-ready kinetic-energy CSVs for every trajectory artifact."""
     out = Path(out_dir)
-    if not out.exists():
-        _fail(EXIT_MISSING_INPUT, f"no such directory: {out}")
     files = sorted(out.rglob("*.updr"))
     if not files:
-        _fail(EXIT_MISSING_INPUT, f"no trajectory artifacts under {out}")
+        raise FileNotFoundError(f"no trajectory artifacts under {out}")
     for path in files:
-        traj = _read_trajectory(path)
+        traj = read_trajectory(path)
         write_csv(path.parent / f"ke_{path.stem}.csv", ("t", "kinetic_energy"),
                   enumerate(kinetic_energy(traj.states)))
     click.echo(f"wrote kinetic-energy tables for {len(files)} trajectories")

@@ -157,8 +157,13 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
+        """Parse a config file; text that is not JSON, an unknown key or a
+        value of the wrong type or range raises ConfigError naming the file."""
         with open(path) as f:
-            return parse(cls, json.load(f), "top level")
+            try:
+                return parse(cls, json.load(f), "top level")
+            except (TypeError, ValueError) as exc:  # JSONDecodeError, ConfigError
+                raise ConfigError(f"{path}: {exc}") from exc
 
     def to_dict(self) -> dict:
         """The settable keys, without the derived fields."""

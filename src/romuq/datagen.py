@@ -55,10 +55,6 @@ class Grid:
     length: float
     n_points: int
 
-    @property
-    def dx(self) -> float:
-        return self.length / self.n_points
-
 
 @dataclass
 class Trajectory:
@@ -163,7 +159,7 @@ def solve_ks(nu: float, n_x: int = 64, domain_length: float = 22.0,
         v = e_full * v + n_v * f1 + 2 * (n_a + n_b) * f2 + n_c * f3
         u = np.fft.ifft(v).real
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e6:
-            raise SolverError("KS solution blow-up", step)
+            raise SolverError(f"KS solution blow-up at nu={nu:g}", step)
         states[step] = u
 
     return Trajectory(states=states, dt=dt, grid=Grid(domain_length, n_x),
@@ -193,7 +189,7 @@ def stuart_landau(mu: float, omega: float, dt: float, n_t: int,
         k4 = f(a + dt * k3)
         a = a + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(a.real) or abs(a) > 1e6:
-            raise SolverError("Stuart-Landau divergence", step)
+            raise SolverError(f"Stuart-Landau divergence at mu={mu:g}", step)
         out[step] = a
     return out
 

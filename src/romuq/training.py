@@ -15,7 +15,7 @@ from . import tensor as T
 from .config import LossWeights, TrainConfig, parse
 from .datagen import NormStats, ParamPoint, Trajectory, normalize
 from .optim import Adam
-from .tensor import Tape, Tensor
+from .tensor import NonFiniteError, Tape, Tensor
 from .transformer import LatentTransformer, rollout
 from .vae import Vae, kld, reparameterize
 
@@ -24,8 +24,12 @@ CHECKPOINT_VERSION = 1
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch: int, step: int):
-        super().__init__(f"NaN loss at epoch {epoch}, step {step}")
+    """A training step's forward pass made a non-finite value; raised from
+    the tape's NonFiniteError, whose op it names."""
+
+    def __init__(self, epoch: int, step: int, op: str):
+        super().__init__(f"training diverged at epoch {epoch}, step {step}: "
+                         f"non-finite output of {op}")
         self.epoch = epoch
         self.step = step
 
@@ -117,9 +121,9 @@ class ModelCheckpoint:
 
     @classmethod
     def load(cls, directory) -> "ModelCheckpoint":
-        """Rebuild a saved checkpoint; a manifest of another format version,
-        or a weights file that does not hold exactly the manifest's weights,
-        raises ValueError naming the file."""
+        """Rebuild a saved checkpoint; a manifest of another format version
+        or without every model weight, or a weights file that does not hold
+        exactly the manifest's weights, raises ValueError naming the file."""
         directory = Path(directory)
         with open(directory / "manifest.json") as f:
             manifest = json.load(f)
@@ -141,8 +145,12 @@ class ModelCheckpoint:
                    stats=NormStats.from_dict(manifest["stats"]),
                    seed=manifest["seed"], lineage=manifest["lineage"],
                    loss_curve=manifest["loss_curve"])
-        offset = 0
         params = dict(ckpt.named_parameters())
+        missing = sorted(set(params) - {entry["name"] for entry in manifest["weights"]})
+        if missing:
+            raise ValueError(f"{directory / 'manifest.json'} lacks the model "
+                             f"weights {missing}")
+        offset = 0
         for entry, shape in zip(manifest["weights"], shapes):
             p = params.get(entry["name"])
             if p is None or p.shape != shape:
@@ -171,6 +179,7 @@ def _gather_batch(trajs, window_index, batch_ids, q, h):
     return phi_w, phi_t, xi
 
 
+@np.errstate(all="ignore")  # the tape reports non-finite values, by op
 def _run_epochs(ckpt: ModelCheckpoint, trajs_norm, window_index, epochs,
                 rng: np.random.Generator, curve: list):
     cfg = ckpt.config
@@ -189,10 +198,11 @@ def _run_epochs(ckpt: ModelCheckpoint, trajs_norm, window_index, epochs,
             noise = rng.standard_normal((len(batch_ids), q, z_dim))
             opt.zero_grad()
             with Tape() as tape:
-                loss, _ = total_loss(ckpt.vae, ckpt.transformer, phi_w, phi_t,
-                                     xi, cfg.loss, noise)
-                if not np.isfinite(loss.data):
-                    raise TrainingDiverged(epoch, n_batches)
+                try:
+                    loss, _ = total_loss(ckpt.vae, ckpt.transformer, phi_w, phi_t,
+                                         xi, cfg.loss, noise)
+                except NonFiniteError as exc:
+                    raise TrainingDiverged(epoch, n_batches, exc.op) from exc
                 T.backward(tape, loss)
             opt.step()
             epoch_loss += float(loss.data)

@@ -135,17 +135,19 @@ class LatentTransformer:
 
 
 class RolloutDivergence(RuntimeError):
-    def __init__(self, step: int):
-        super().__init__(f"latent rollout diverged at step {step}")
+    def __init__(self, step: int, reason: str):
+        super().__init__(f"latent rollout diverged at step {step}: {reason}")
         self.step = step
 
 
+@np.errstate(all="ignore")  # the tape reports non-finite values, by op
 def rollout(model: LatentTransformer, initial_window: np.ndarray, xi,
             steps: int) -> np.ndarray:
     """Autoregressive latent trajectory of length ``steps``.
 
     Consumes one predicted step per forecast and slides the window; the
-    encoder is never re-invoked.
+    encoder is never re-invoked. A forecast the tape finds non-finite, or a
+    latent above 1e6 in magnitude, raises RolloutDivergence for that step.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -155,10 +157,13 @@ def rollout(model: LatentTransformer, initial_window: np.ndarray, xi,
         raise T.ShapeError("rollout", window.shape, (c.lookback, c.latent_dim))
     out = np.empty((steps, c.latent_dim))
     for step in range(steps):
-        pred = model.forecast(window[None, :, :], xi).data[0]
+        try:
+            pred = model.forecast(window[None, :, :], xi).data[0]
+        except T.NonFiniteError as exc:
+            raise RolloutDivergence(step, f"non-finite output of {exc.op}") from exc
         nxt = pred[0]
-        if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > 1e6:
-            raise RolloutDivergence(step)
+        if np.max(np.abs(nxt)) > 1e6:
+            raise RolloutDivergence(step, "latent magnitude above 1e6")
         out[step] = nxt
         window = np.concatenate([window[1:], nxt[None, :]], axis=0)
     return out

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from romuq.cli import main
+from romuq.training import ModelCheckpoint
 
 
 SMALL_CONFIG = {
@@ -138,6 +140,13 @@ def test_invalid_config_exit_code(runner, tmp_path):
     res = runner.invoke(main, ["generate", "--config", str(cfg),
                               "--sweep", "mu=0.3"])
     assert res.exit_code == 3
+    for text in ('not json', '{"vae": {"hidden": ["a"]}}',
+                 '{"vae": {"latent_dim": "x"}}'):
+        cfg.write_text(text)
+        res = runner.invoke(main, ["generate", "--config", str(cfg),
+                                  "--sweep", "mu=0.3"])
+        assert res.exit_code == 3, text
+        assert "invalid config" in res.output, text
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -248,6 +257,45 @@ def test_malformed_inputs_exit_5_naming_the_file(runner, tmp_path):
                                                      '"format_version": 2'))
     for args in commands:
         assert_exit_5(args, manifest, "format_version")
+    manifest.write_text(manifest.read_text().replace('"format_version": 2',
+                                                     '"format_version": 1'))
+
+    # a checkpoint without its last weight, in the manifest and the weights
+    entries = json.loads(manifest.read_text())
+    dropped = entries["weights"].pop()
+    assert dropped["name"] == "transformer.out_head.b"
+    manifest.write_text(json.dumps(entries))
+    weights.write_bytes(weights.read_bytes()[:-8 * int(np.prod(dropped["shape"]))])
+    for args in commands:
+        assert_exit_5(args, manifest, dropped["name"])
+
+
+def test_train_divergence_exit_4_naming_epoch_and_step(runner, tmp_path):
+    data = run_generate(runner, tmp_path)
+    hot = copy.deepcopy(SMALL_CONFIG)
+    hot["training"]["lr"] = 1e12
+    cfg = tmp_path / "hot.json"
+    cfg.write_text(json.dumps(hot))
+    res = runner.invoke(main, ["train", "--config", str(cfg), "--data", str(data),
+                              "--out", str(tmp_path / "train")])
+    assert res.exit_code == 4, res.output
+    assert re.search(r"diverged at epoch \d+, step \d+", res.output), res.output
+
+
+def test_non_finite_rollout_exit_4(runner, tmp_path):
+    data = run_generate(runner, tmp_path)
+    ckpt = run_train(runner, tmp_path, data)
+    model = ModelCheckpoint.load(ckpt)
+    dict(model.named_parameters())["transformer.in_proj.w"].data[:] = 1e300
+    model.save(ckpt)
+    traj = str(data / "hopf_mu0.3.updr")
+    for args in (["infer", "--checkpoint", str(ckpt), "--data", traj],
+                 ["uq", "--checkpoint", str(ckpt), "--data", traj, "--n", "2"],
+                 ["adapt", "--config", str(tmp_path / "config.json"),
+                  "--checkpoint", str(ckpt), "--data", str(data)]):
+        res = runner.invoke(main, args + ["--out", str(tmp_path / args[0])])
+        assert res.exit_code == 4, res.output
+        assert "rollout diverged at step 0" in res.output
 
 
 def test_infer_missing_inputs_exit_codes(runner, tmp_path):

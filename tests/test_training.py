@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from romuq.datagen import Grid, NormStats, ParamPoint, Trajectory
+from romuq.tensor import NonFiniteError
 from romuq.training import (LossWeights, ModelCheckpoint, TrainConfig,
-                            predict_rollout, retrain, total_loss, train)
+                            TrainingDiverged, predict_rollout, retrain,
+                            total_loss, train)
 from romuq.transformer import TransformerConfig
 from romuq.vae import VaeConfig
 
@@ -132,6 +134,17 @@ def test_train_records_lineage_and_curve():
     ckpt = train(tiny_dataset(), tiny_config(), seed=0, dataset_id="toy")
     assert ckpt.lineage == [{"dataset": "toy", "epochs": 2}]
     assert len(ckpt.loss_curve) == 2
+
+
+def test_train_non_finite_forward_raises_diverged_from_the_tape():
+    cfg = tiny_config(epochs=3)
+    cfg.lr = 1e12
+    with pytest.raises(TrainingDiverged) as err:
+        train(tiny_dataset(), cfg, seed=0)
+    cause = err.value.__cause__
+    assert isinstance(cause, NonFiniteError)
+    assert f"epoch {err.value.epoch}, step {err.value.step}" in str(err.value)
+    assert cause.op in str(err.value)
 
 
 # ----------------------------------------------------------------- checkpoint

@@ -139,6 +139,16 @@ def test_rollout_divergence_guard():
     assert err.value.step == 0
 
 
+def test_rollout_non_finite_forecast_raises_divergence_from_the_tape():
+    model = make_model()
+    model.in_proj[0].data[:] = 1e300
+    with pytest.raises(RolloutDivergence) as err:
+        rollout(model, np.ones((6, 2)), np.array([0.0]), steps=5)
+    assert err.value.step == 0
+    assert isinstance(err.value.__cause__, T.NonFiniteError)
+    assert err.value.__cause__.op in str(err.value)
+
+
 def test_forward_count_probe():
     model = make_model()
     window = np.zeros((6, 2))
