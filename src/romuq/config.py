@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence, get_type_hints
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -24,10 +24,23 @@ def _derived(default):
     return field(default=default, metadata={"derived": True})
 
 
+def _has_type(v, tp) -> bool:
+    """JSON value ``v`` fits the field type ``tp``: an int is a float, a
+    bool is not an int, and a sequence is a list of fitting items."""
+    if get_origin(tp) is Union:
+        return any(_has_type(v, arg) for arg in get_args(tp))
+    if get_origin(tp) is not None:  # Sequence[int]
+        return isinstance(v, (list, tuple)) and all(_has_type(x, get_args(tp)[0]) for x in v)
+    if isinstance(v, bool):
+        return tp is bool
+    return isinstance(v, (int, float) if tp is float else tp)
+
+
 def parse(cls, d, where: str, derived: bool = False):
     """Build the dataclass ``cls`` from the mapping ``d``, recursing into
-    dataclass-typed fields. Unknown keys raise ConfigError, and so do
-    derived fields unless ``derived`` is set (a checkpoint stores them)."""
+    dataclass-typed fields. Unknown keys and values of the wrong type raise
+    ConfigError, and so do derived fields unless ``derived`` is set (a
+    checkpoint stores them)."""
     if not isinstance(d, dict):
         raise ConfigError(f"[{where}] must be a mapping")
     settable = {f.name for f in fields(cls)
@@ -36,6 +49,11 @@ def parse(cls, d, where: str, derived: bool = False):
     if bad:
         raise ConfigError(f"unknown or data-derived keys in [{where}]: {sorted(bad)}")
     types = get_type_hints(cls)
+    for k, v in d.items():
+        tp = types[k]
+        if not is_dataclass(tp) and not _has_type(v, tp):
+            name = tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
+            raise ConfigError(f"[{where}] {k} must be of type {name}, got {v!r}")
     return cls(**{k: parse(types[k], v, k, derived) if is_dataclass(types[k]) else v
                   for k, v in d.items()})
 
@@ -66,8 +84,6 @@ class VaeConfig:
     embed_dim: int = 8
 
     def __post_init__(self):
-        if not isinstance(self.hidden, (list, tuple)):
-            raise ConfigError(f"hidden must be a list of layer widths, got {self.hidden!r}")
         self.hidden = tuple(int(h) for h in self.hidden)
         if min(self.latent_dim, self.param_dim, self.embed_dim, *self.hidden) <= 0:
             raise ConfigError("all dimensions must be positive")
@@ -89,8 +105,8 @@ class TransformerConfig:
     def __post_init__(self):
         if self.heads < 1 or self.width % self.heads != 0:
             raise ConfigError("width must be divisible by heads")
-        if self.lookback < 1 or self.horizon < 1:
-            raise ConfigError("lookback and horizon must be >= 1")
+        if min(self.lookback, self.horizon, self.blocks) < 1:
+            raise ConfigError("lookback, horizon and blocks must be >= 1")
 
 
 @dataclass

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -309,6 +310,24 @@ def write_trajectory(path, traj: Trajectory):
         f.write("\n")
 
 
+@contextmanager
+def json_object(path):
+    """Yield the JSON object stored in ``path``. Text that is not a JSON
+    object, or a key the body looks up and the object lacks, raises
+    ValueError naming the file."""
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    try:
+        yield data
+    except KeyError as exc:
+        raise ValueError(f"{path} lacks the key {exc}") from exc
+
+
 def _read_exact(f, n: int, path) -> bytes:
     data = f.read(n)
     if len(data) != n:
@@ -318,8 +337,9 @@ def _read_exact(f, n: int, path) -> bytes:
 
 
 def read_trajectory(path) -> Trajectory:
-    """Load a file written by :func:`write_trajectory`; a truncated file or
-    one with bytes after the payload raises ValueError naming the path."""
+    """Load a file written by :func:`write_trajectory`; a truncated file,
+    one with bytes after the payload, or a malformed ``.meta.json`` sidecar
+    raises ValueError naming the path."""
     path = Path(path)
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -351,8 +371,7 @@ def read_trajectory(path) -> Trajectory:
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     grid = Grid(1.0, n_xy)
     if meta_path.exists():
-        with open(meta_path) as f:
-            meta = json.load(f)
-        grid = Grid(meta["grid"]["length"], meta["grid"]["n_points"])
+        with json_object(meta_path) as meta:
+            grid = Grid(meta["grid"]["length"], meta["grid"]["n_points"])
     return Trajectory(states=states, dt=dt, grid=grid,
                       param=ParamPoint.of(**params))

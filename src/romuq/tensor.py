@@ -185,9 +185,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul", a.shape, b.shape) from None
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if a.data.ndim > 2 and b.data.ndim == 2:
+            # one GEMM over the flattened rows, not a stack of per-batch
+            # products for _unbroadcast to sum
+            return ga, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return ga, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
 
     return _record("matmul", (a, b), out, bwd)
 

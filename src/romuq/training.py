@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import LossWeights, TrainConfig, parse
-from .datagen import NormStats, ParamPoint, Trajectory, normalize
+from .datagen import NormStats, ParamPoint, Trajectory, json_object, normalize
 from .optim import Adam
 from .tensor import NonFiniteError, Tape, Tensor
 from .transformer import LatentTransformer, rollout
@@ -121,46 +121,46 @@ class ModelCheckpoint:
 
     @classmethod
     def load(cls, directory) -> "ModelCheckpoint":
-        """Rebuild a saved checkpoint; a manifest of another format version
-        or without every model weight, or a weights file that does not hold
-        exactly the manifest's weights, raises ValueError naming the file."""
+        """Rebuild a saved checkpoint; a manifest that is not JSON, lacks a
+        key or a model weight, or is of another format version, or a weights
+        file that does not hold exactly the manifest's weights, raises
+        ValueError naming the file."""
         directory = Path(directory)
-        with open(directory / "manifest.json") as f:
-            manifest = json.load(f)
-        version = manifest.get("format_version")
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint format_version {version!r} "
-                             f"in {directory / 'manifest.json'}")
-        raw = (directory / "weights.bin").read_bytes()
-        shapes = [tuple(entry["shape"]) for entry in manifest["weights"]]
-        expected = 8 * sum(math.prod(shape) for shape in shapes)
-        if len(raw) != expected:
-            raise ValueError(f"{directory / 'weights.bin'} holds {len(raw)} bytes; "
-                             f"the manifest's weight shapes need {expected}")
-        config = parse(TrainConfig, manifest["config"], "config", derived=True)
-        rng = np.random.default_rng(manifest["seed"])
-        vae = Vae(config.vae, rng)
-        transformer = LatentTransformer(config.transformer, rng)
-        ckpt = cls(vae=vae, transformer=transformer, config=config,
-                   stats=NormStats.from_dict(manifest["stats"]),
-                   seed=manifest["seed"], lineage=manifest["lineage"],
-                   loss_curve=manifest["loss_curve"])
-        params = dict(ckpt.named_parameters())
-        missing = sorted(set(params) - {entry["name"] for entry in manifest["weights"]})
-        if missing:
-            raise ValueError(f"{directory / 'manifest.json'} lacks the model "
-                             f"weights {missing}")
-        offset = 0
-        for entry, shape in zip(manifest["weights"], shapes):
-            p = params.get(entry["name"])
-            if p is None or p.shape != shape:
-                raise ValueError(f"weight {entry['name']!r} of shape {shape} in "
-                                 f"{directory / 'manifest.json'} does not fit the model")
-            count = math.prod(shape)
-            p.data = np.frombuffer(raw, dtype="<f8", count=count,
-                                   offset=offset).reshape(shape).copy()
-            offset += count * 8
-        return ckpt
+        with json_object(directory / "manifest.json") as manifest:
+            version = manifest.get("format_version")
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint format_version {version!r} "
+                                 f"in {directory / 'manifest.json'}")
+            raw = (directory / "weights.bin").read_bytes()
+            shapes = [tuple(entry["shape"]) for entry in manifest["weights"]]
+            expected = 8 * sum(math.prod(shape) for shape in shapes)
+            if len(raw) != expected:
+                raise ValueError(f"{directory / 'weights.bin'} holds {len(raw)} bytes; "
+                                 f"the manifest's weight shapes need {expected}")
+            config = parse(TrainConfig, manifest["config"], "config", derived=True)
+            rng = np.random.default_rng(manifest["seed"])
+            vae = Vae(config.vae, rng)
+            transformer = LatentTransformer(config.transformer, rng)
+            ckpt = cls(vae=vae, transformer=transformer, config=config,
+                       stats=NormStats.from_dict(manifest["stats"]),
+                       seed=manifest["seed"], lineage=manifest["lineage"],
+                       loss_curve=manifest["loss_curve"])
+            params = dict(ckpt.named_parameters())
+            missing = sorted(set(params) - {entry["name"] for entry in manifest["weights"]})
+            if missing:
+                raise ValueError(f"{directory / 'manifest.json'} lacks the model "
+                                 f"weights {missing}")
+            offset = 0
+            for entry, shape in zip(manifest["weights"], shapes):
+                p = params.get(entry["name"])
+                if p is None or p.shape != shape:
+                    raise ValueError(f"weight {entry['name']!r} of shape {shape} in "
+                                     f"{directory / 'manifest.json'} does not fit the model")
+                count = math.prod(shape)
+                p.data = np.frombuffer(raw, dtype="<f8", count=count,
+                                       offset=offset).reshape(shape).copy()
+                offset += count * 8
+            return ckpt
 
 
 def extract_windows(traj: Trajectory, q: int, h: int):

@@ -83,11 +83,16 @@ class AttentionBlock:
         gamma, beta = affine
         return T.add(T.mul(T.layer_norm(x), gamma), beta)
 
-    def __call__(self, x: Tensor, xi_tokens: Tensor) -> Tensor:
-        if x.shape[1] != self.config.lookback:
-            raise T.ShapeError("attention_block", x.shape, (self.config.lookback,))
-        x = self._ln(T.add(x, self._attend(x, x, self.wq, self.wk, self.wv,
-                                           self.wo, self.mask)), self.ln1)
+    def __call__(self, x: Tensor, xi_tokens: Tensor, last_only: bool = False) -> Tensor:
+        """The block's output at every window position, or with
+        ``last_only`` at the last one, whose keys and values still span the
+        window (its causal-mask row is all zeros, so no mask is added)."""
+        q = self.config.lookback
+        if x.shape[1] != q:
+            raise T.ShapeError("attention_block", x.shape, (q,))
+        rows, mask = (T.slice_axis(x, 1, q - 1, q), None) if last_only else (x, self.mask)
+        x = self._ln(T.add(rows, self._attend(rows, x, self.wq, self.wk, self.wv,
+                                              self.wo, mask)), self.ln1)
         x = self._ln(T.add(x, self._attend(x, xi_tokens, self.cq, self.ck,
                                            self.cv, self.co)), self.ln2)
         h = T.linear(T.gelu(T.linear(x, self.ff1)), self.ff2)
@@ -110,9 +115,6 @@ class LatentTransformer:
     def named_parameters(self):
         return list(self.params.named)
 
-    def parameters(self):
-        return [t for _, t in self.params.named]
-
     def forecast(self, window: Union[np.ndarray, Tensor], xi) -> Tensor:
         """Predict the next ``horizon`` latent vectors, shape (B, h, Z)."""
         c = self.config
@@ -126,11 +128,11 @@ class LatentTransformer:
         h = T.add(T.linear(x, self.in_proj), self.pos)
         xi_tokens = T.reshape(T.linear(param_rows(xi, batch, c.param_dim), self.xi_proj),
                               (batch, 1, c.width))
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             h = block(h, xi_tokens)
-        last = T.reshape(T.slice_axis(h, 1, c.lookback - 1, c.lookback),
-                         (batch, c.width))
-        out = T.linear(last, self.out_head)
+        # only the last position feeds the head, so the final block computes no other
+        last = self.blocks[-1](h, xi_tokens, last_only=True)
+        out = T.linear(T.reshape(last, (batch, c.width)), self.out_head)
         return T.reshape(out, (batch, c.horizon, c.latent_dim))
 
 

@@ -65,9 +65,6 @@ class Vae:
     def named_parameters(self):
         return list(self.params.named)
 
-    def parameters(self):
-        return [t for _, t in self.params.named]
-
     # ------------------------------------------------------------------
 
     def embed_xi(self, xi, batch: int) -> Tensor:

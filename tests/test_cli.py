@@ -141,7 +141,7 @@ def test_invalid_config_exit_code(runner, tmp_path):
                               "--sweep", "mu=0.3"])
     assert res.exit_code == 3
     for text in ('not json', '{"vae": {"hidden": ["a"]}}',
-                 '{"vae": {"latent_dim": "x"}}'):
+                 '{"vae": {"latent_dim": "x"}}', '{"datagen": {"n_t": "x"}}'):
         cfg.write_text(text)
         res = runner.invoke(main, ["generate", "--config", str(cfg),
                                   "--sweep", "mu=0.3"])
@@ -259,6 +259,19 @@ def test_malformed_inputs_exit_5_naming_the_file(runner, tmp_path):
         assert_exit_5(args, manifest, "format_version")
     manifest.write_text(manifest.read_text().replace('"format_version": 2',
                                                      '"format_version": 1'))
+
+    # a manifest or sidecar without one of its keys, or that is not JSON
+    sidecar = data / "hopf_mu0.3.updr.meta.json"
+    for path, key, cmds in ((manifest, "stats", commands),
+                            (sidecar, "grid", commands + [["report", "--out", str(data)]])):
+        text = path.read_text()
+        for content, message in ((json.dumps({k: v for k, v in json.loads(text).items()
+                                              if k != key}), key),
+                                 ("{", "not valid JSON")):
+            path.write_text(content)
+            for args in cmds:
+                assert_exit_5(args, path, message)
+        path.write_text(text)
 
     # a checkpoint without its last weight, in the manifest and the weights
     entries = json.loads(manifest.read_text())

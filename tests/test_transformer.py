@@ -80,6 +80,42 @@ def test_forecast_shape_and_determinism():
     assert a.tobytes() == b.tobytes()
 
 
+def full_window_forecast(model, window, xi):
+    """Every block on every window position, then the last position through
+    the head: the reference for a forecast whose final block computes only
+    the last position."""
+    c = model.config
+    batch = window.shape[0]
+    h = T.add(T.linear(Tensor(window), model.in_proj), model.pos)
+    xi_tokens = T.reshape(T.linear(Tensor(xi), model.xi_proj), (batch, 1, c.width))
+    for block in model.blocks:
+        h = block(h, xi_tokens)
+    last = T.reshape(T.slice_axis(h, 1, c.lookback - 1, c.lookback), (batch, c.width))
+    return T.reshape(T.linear(last, model.out_head), (batch, c.horizon, c.latent_dim))
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_forecast_matches_full_window_reference(blocks, batch):
+    model = make_model(blocks=blocks, param_dim=2)
+    rng = np.random.default_rng(10)
+    window = rng.standard_normal((batch, 6, 2))
+    xi = rng.standard_normal((batch, 2))
+    weights = Tensor(rng.standard_normal((batch, 3, 2)))
+    results = []
+    for run in (model.forecast, lambda w, x: full_window_forecast(model, w, x)):
+        for _, p in model.named_parameters():
+            p.zero_grad()
+        with Tape() as tape:
+            out = run(window, xi)
+            backward(tape, T.tensor_sum(T.mul(out, weights)))
+        results.append((out.data, [p.grad for _, p in model.named_parameters()]))
+    (fast, fast_grads), (ref, ref_grads) = results
+    np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-12)
+    for got, want in zip(fast_grads, ref_grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_forecast_wrong_window_length():
     model = make_model()
     with pytest.raises(T.ShapeError):
@@ -174,7 +210,7 @@ def test_constant_latent_training_learns_identity_dynamics():
     window = np.tile(const, (4, 1))
     target = Tensor(np.tile(const, (1, 2, 1)).reshape(1, 2, 2))
     xi = np.array([0.0])
-    opt = Adam(model.parameters(), lr=3e-3)
+    opt = Adam([p for _, p in model.named_parameters()], lr=3e-3)
     for _ in range(300):
         opt.zero_grad()
         with Tape() as tape:
