@@ -105,6 +105,8 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
     if budget < 1:
         raise ValueError("budget must be >= 1")
     grid = list(grid)
+    if len(grid) < 2:  # the uncertainty-error correlation needs two points
+        raise ValueError(f"the grid needs at least two points, got {len(grid)}")
     state = AdaptiveState(param_grid=grid,
                           trained_set=[t.param for t in initial_data])
     out_path = Path(out_dir) if out_dir is not None else None

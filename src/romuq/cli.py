@@ -95,8 +95,9 @@ def _load_dataset(data_dir: Path):
 
 
 def _grid(config: RunConfig) -> list:
-    if not config.adaptive.grid:
-        raise ConfigError("adaptive.grid is empty")
+    if len(config.adaptive.grid) < 2:
+        raise ConfigError(f"adaptive.grid needs at least two points, "
+                          f"got {len(config.adaptive.grid)}")
     try:
         return [ParamPoint.of(**g) for g in config.adaptive.grid]
     except (TypeError, ValueError) as exc:
@@ -155,6 +156,7 @@ def cmd_train(config_path, data_dir, seed, out_dir):
     write_resolved(config, out)
     with open(out / "train_summary.json", "w") as f:
         json.dump({"final_loss": ckpt.loss_curve[-1],
+                   "final_loss_components": ckpt.lineage[-1]["loss_components"][-1],
                    "epochs": len(ckpt.loss_curve)}, f, indent=2, sort_keys=True)
         f.write("\n")
     click.echo(f"checkpoint saved to {out / 'checkpoint'}")

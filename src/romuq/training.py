@@ -181,16 +181,20 @@ def _gather_batch(trajs, window_index, batch_ids, q, h):
 
 @np.errstate(all="ignore")  # the tape reports non-finite values, by op
 def _run_epochs(ckpt: ModelCheckpoint, trajs_norm, window_index, epochs,
-                rng: np.random.Generator, curve: list):
+                rng: np.random.Generator, dataset_id: str):
+    """Appends each epoch's mean loss to the loss curve, then one lineage
+    entry holding each epoch's means of the ``total_loss`` components."""
     cfg = ckpt.config
     q, h = cfg.transformer.lookback, cfg.transformer.horizon
     z_dim = cfg.vae.latent_dim
     params = [p for _, p in ckpt.named_parameters()]
     opt = Adam(params, lr=cfg.lr)
     n_windows = len(window_index)
+    means = []
     for epoch in range(epochs):
         order = rng.permutation(n_windows)
         epoch_loss = 0.0
+        sums: dict = {}
         n_batches = 0
         for start in range(0, n_windows, cfg.batch_size):
             batch_ids = order[start:start + cfg.batch_size]
@@ -199,15 +203,20 @@ def _run_epochs(ckpt: ModelCheckpoint, trajs_norm, window_index, epochs,
             opt.zero_grad()
             with Tape() as tape:
                 try:
-                    loss, _ = total_loss(ckpt.vae, ckpt.transformer, phi_w, phi_t,
-                                         xi, cfg.loss, noise)
+                    loss, components = total_loss(ckpt.vae, ckpt.transformer, phi_w,
+                                                  phi_t, xi, cfg.loss, noise)
                 except NonFiniteError as exc:
                     raise TrainingDiverged(epoch, n_batches, exc.op) from exc
                 T.backward(tape, loss)
             opt.step()
             epoch_loss += float(loss.data)
+            for name, value in components.items():
+                sums[name] = sums.get(name, 0.0) + value
             n_batches += 1
-        curve.append(epoch_loss / max(n_batches, 1))
+        ckpt.loss_curve.append(epoch_loss / max(n_batches, 1))
+        means.append({name: total / n_batches for name, total in sums.items()})
+    ckpt.lineage.append({"dataset": dataset_id, "epochs": epochs,
+                         "loss_components": means})
 
 
 def train(dataset: Sequence[Trajectory], config: TrainConfig, seed: int,
@@ -228,8 +237,7 @@ def train(dataset: Sequence[Trajectory], config: TrainConfig, seed: int,
 
     window_index = [(ti, s) for ti, traj in enumerate(trajs_norm)
                     for s in extract_windows(traj, q, h)]
-    _run_epochs(ckpt, trajs_norm, window_index, config.epochs, rng, ckpt.loss_curve)
-    ckpt.lineage.append({"dataset": dataset_id, "epochs": config.epochs})
+    _run_epochs(ckpt, trajs_norm, window_index, config.epochs, rng, dataset_id)
     return ckpt
 
 
@@ -259,8 +267,7 @@ def retrain(ckpt: ModelCheckpoint, new_data: Sequence[Trajectory],
         chosen = rng.choice(len(prior_windows), size=n_replay, replace=False)
         window_index += [prior_windows[i] for i in sorted(chosen)]
 
-    _run_epochs(ckpt, trajs, window_index, epochs, rng, ckpt.loss_curve)
-    ckpt.lineage.append({"dataset": dataset_id, "epochs": epochs})
+    _run_epochs(ckpt, trajs, window_index, epochs, rng, dataset_id)
     return ckpt
 
 

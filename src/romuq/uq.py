@@ -25,17 +25,30 @@ class UncertaintyField:
     seed: int
 
 
+# (seed, dim) and the read-only (n, n_t, dim) array of the last ensemble_noise
+# call, swapped as one tuple; the adaptive loop redraws it at every grid point.
+_last_ensemble = ((None, None), np.empty((0, 0, 0)))
+
+
 def member_noise(seed: int, member: int, t: int, dim: int) -> np.ndarray:
-    """Reproducible per-(member, time) standard-normal stream."""
+    """Reproducible per-(member, time) standard-normal stream. A row the last
+    ensemble holds for this seed and dim is copied from it, not drawn again."""
+    key, kept = _last_ensemble
+    if key == (seed, dim) and 0 <= member < kept.shape[0] and 0 <= t < kept.shape[1]:
+        return kept[member, t].copy()
     ss = np.random.SeedSequence((seed, member, t))
     return np.random.Generator(np.random.PCG64(ss)).standard_normal(dim)
 
 
 def ensemble_noise(seed: int, n: int, n_t: int, dim: int) -> np.ndarray:
+    """Read-only (n, n_t, dim) member_noise rows, kept as the last ensemble."""
+    global _last_ensemble
     noise = np.empty((n, n_t, dim))
     for i in range(n):
         for t in range(n_t):
             noise[i, t] = member_noise(seed, i, t, dim)
+    noise.flags.writeable = False
+    _last_ensemble = ((seed, dim), noise)
     return noise
 
 

@@ -127,7 +127,7 @@ def test_run_loop_saves_state_when_generator_fails(tmp_path, trained_pair):
         raise RuntimeError("solver blew up")
 
     with pytest.raises(RuntimeError):
-        run_loop(ckpt, broken, [H(0.9)], budget=1, threshold=0.0,
+        run_loop(ckpt, broken, [H(0.9), H(1.0)], budget=1, threshold=0.0,
                  initial_data=initial, ensemble_n=4, out_dir=tmp_path)
     assert (tmp_path / "adaptive_history.json").exists()
 
@@ -137,6 +137,23 @@ def test_run_loop_rejects_bad_budget(trained_pair):
     with pytest.raises(ValueError):
         run_loop(ckpt, generator, [H(0.2)], budget=0, threshold=0.0,
                  initial_data=initial)
+
+
+def test_run_loop_rejects_one_point_grid_before_generating(tmp_path, trained_pair):
+    # the uncertainty-error correlation of an iteration needs two grid points
+    ckpt, initial = trained_pair
+    calls = []
+
+    def counting(point):
+        calls.append(point)
+        return generator(point)
+
+    for grid in ([], [H(0.2)]):
+        with pytest.raises(ValueError, match="at least two points"):
+            run_loop(ckpt, counting, grid, budget=1, threshold=0.0,
+                     initial_data=initial, ensemble_n=4, out_dir=tmp_path)
+    assert calls == []
+    assert not (tmp_path / "iter0_nu.csv").exists()
 
 
 def test_evaluate_grid_shapes(trained_pair):

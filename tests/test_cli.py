@@ -178,6 +178,12 @@ def test_train_infer_uq_pipeline(runner, tmp_path):
     assert (ckpt / "weights.bin").exists()
     summary = json.loads((ckpt.parent / "train_summary.json").read_text())
     assert summary["epochs"] == 2
+    final = summary["final_loss_components"]
+    assert (final["reconstruction_kld"] + final["latent_prediction"]
+            + final["decoded_prediction"]) == pytest.approx(summary["final_loss"],
+                                                            rel=1e-12, abs=0)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    assert manifest["lineage"][-1]["loss_components"][-1] == final
 
     res = runner.invoke(main, ["infer", "--checkpoint", str(ckpt), "--data",
                               str(data / "hopf_mu0.3.updr"),
@@ -361,12 +367,17 @@ def test_adapt_empty_grid_exit_code(runner, tmp_path):
     data = run_generate(runner, tmp_path)
     ckpt = run_train(runner, tmp_path, data)
     cfg = tmp_path / "nogrid.json"
-    bare = dict(SMALL_CONFIG)
-    bare["adaptive"] = {"budget": 1, "threshold": 0.0, "grid": []}
-    cfg.write_text(json.dumps(bare))
-    res = runner.invoke(main, ["adapt", "--config", str(cfg),
-                              "--checkpoint", str(ckpt), "--data", str(data)])
-    assert res.exit_code == 3
+    # an empty grid, and a one-point grid with no correlation to compute
+    for grid in ([], [{"mu": 0.2, "omega": 1.0}]):
+        bare = dict(SMALL_CONFIG)
+        bare["adaptive"] = {"budget": 1, "threshold": 0.0, "grid": grid}
+        cfg.write_text(json.dumps(bare))
+        out = tmp_path / f"adapt{len(grid)}"
+        res = runner.invoke(main, ["adapt", "--config", str(cfg), "--checkpoint",
+                                  str(ckpt), "--data", str(data), "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert "at least two points" in res.output
+        assert not out.exists()
 
 
 # --------------------------------------------------------------------- report

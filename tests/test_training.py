@@ -132,8 +132,27 @@ def test_train_same_seed_bit_identical(tmp_path):
 
 def test_train_records_lineage_and_curve():
     ckpt = train(tiny_dataset(), tiny_config(), seed=0, dataset_id="toy")
-    assert ckpt.lineage == [{"dataset": "toy", "epochs": 2}]
+    assert [(e["dataset"], e["epochs"]) for e in ckpt.lineage] == [("toy", 2)]
+    assert len(ckpt.lineage[0]["loss_components"]) == 2
     assert len(ckpt.loss_curve) == 2
+
+
+def test_lineage_loss_components_sum_to_the_logged_loss(tmp_path):
+    dataset = tiny_dataset()
+    ckpt = train(dataset, tiny_config(epochs=3), seed=4)
+    retrain(ckpt, tiny_dataset(n_traj=1, seed=42), dataset, replay_fraction=0.5,
+            epochs=2, seed=5)
+    retrain(ckpt, [dataset[0]], dataset, replay_fraction=1.0, epochs=0, seed=6)
+    per_epoch = [c for entry in ckpt.lineage for c in entry["loss_components"]]
+    assert [len(e["loss_components"]) for e in ckpt.lineage] == [3, 2, 0]
+    assert len(per_epoch) == len(ckpt.loss_curve) == 5
+    for c, total in zip(per_epoch, ckpt.loss_curve):
+        assert set(c) == {"reconstruction_kld", "latent_prediction",
+                          "decoded_prediction", "kld"}
+        parts = c["reconstruction_kld"] + c["latent_prediction"] + c["decoded_prediction"]
+        assert parts == pytest.approx(total, rel=1e-12, abs=0)
+    ckpt.save(tmp_path / "ck")
+    assert ModelCheckpoint.load(tmp_path / "ck").lineage == ckpt.lineage
 
 
 def test_train_non_finite_forward_raises_diverged_from_the_tape():

@@ -49,6 +49,51 @@ def test_ensemble_noise_matches_member_streams():
     np.testing.assert_array_equal(noise[2, 3], member_noise(1, 2, 3, 2))
 
 
+def reference_row(seed, member, t, dim):
+    """The documented (seed, member, t) stream, built without member_noise."""
+    ss = np.random.SeedSequence((seed, member, t))
+    return np.random.Generator(np.random.PCG64(ss)).standard_normal(dim)
+
+
+def reference_noise(seed, n, n_t, dim):
+    return np.array([[reference_row(seed, i, t, dim) for t in range(n_t)]
+                     for i in range(n)]).reshape(n, n_t, dim)
+
+
+def test_ensemble_noise_reuse_is_bit_identical_across_call_sequences():
+    # grow n, grow n_t, shrink both, switch seed, switch dim, then go back:
+    # rows come from the kept ensemble or fresh streams, values never differ
+    calls = [(3, 2, 4, 2), (3, 5, 4, 2), (3, 5, 7, 2), (3, 2, 3, 2),
+             (4, 5, 7, 2), (3, 5, 7, 3), (3, 5, 7, 2), (3, 0, 7, 2),
+             (3, 5, 7, 2)]
+    for seed, n, n_t, dim in calls:
+        noise = ensemble_noise(seed, n, n_t, dim)
+        assert noise.shape == (n, n_t, dim)
+        assert noise.tobytes() == reference_noise(seed, n, n_t, dim).tobytes()
+        # rows inside and just outside the kept ensemble
+        for i, t in ((0, 0), (n - 1, n_t - 1), (n, 0), (0, n_t)):
+            if i >= 0:
+                assert (member_noise(seed, i, t, dim).tobytes()
+                        == reference_row(seed, i, t, dim).tobytes())
+
+
+def test_ensemble_noise_is_read_only_and_rows_are_fresh_copies():
+    noise = ensemble_noise(5, 2, 3, 4)
+    with pytest.raises(ValueError):
+        noise[0, 0, 0] = 1.0
+    row = member_noise(5, 1, 2, 4)
+    row[:] = 0.0  # a served row is the caller's own array
+    assert ensemble_noise(5, 2, 3, 4).tobytes() == reference_noise(5, 2, 3, 4).tobytes()
+
+
+def test_member_noise_rejects_negative_indices_after_a_kept_draw():
+    ensemble_noise(6, 3, 3, 2)
+    with pytest.raises(ValueError):
+        member_noise(6, -1, 0, 2)
+    with pytest.raises(ValueError):
+        member_noise(6, 0, -1, 2)
+
+
 # ---------------------------------------------------------------- second_pass
 
 
