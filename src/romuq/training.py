@@ -213,7 +213,7 @@ def _run_epochs(ckpt: ModelCheckpoint, trajs_norm, window_index, epochs,
             for name, value in components.items():
                 sums[name] = sums.get(name, 0.0) + value
             n_batches += 1
-        ckpt.loss_curve.append(epoch_loss / max(n_batches, 1))
+        ckpt.loss_curve.append(epoch_loss / n_batches)
         means.append({name: total / n_batches for name, total in sums.items()})
     ckpt.lineage.append({"dataset": dataset_id, "epochs": epochs,
                          "loss_components": means})
@@ -266,6 +266,8 @@ def retrain(ckpt: ModelCheckpoint, new_data: Sequence[Trajectory],
     if n_replay > 0:
         chosen = rng.choice(len(prior_windows), size=n_replay, replace=False)
         window_index += [prior_windows[i] for i in sorted(chosen)]
+    if not window_index:
+        raise ValueError("no windows to retrain on: no new data and none replayed")
 
     _run_epochs(ckpt, trajs, window_index, epochs, rng, dataset_id)
     return ckpt

@@ -1,5 +1,5 @@
 """Latent-sequence forecaster: causal self-attention over the delay window,
-cross-attention to the external-parameter token, autoregressive rollout."""
+conditioning on the external-parameter token, autoregressive rollout."""
 
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ def causal_mask(length: int) -> np.ndarray:
 
 
 class AttentionBlock:
-    """Masked self-attention, cross-attention to the parameter tokens, and a
+    """Masked self-attention, cross-attention to the parameter token, and a
     feed-forward sublayer; each followed by residual add + layer-norm."""
 
     def __init__(self, config: TransformerConfig, params: T.Params, index: int):
@@ -45,8 +45,10 @@ class AttentionBlock:
         self.wk = lin("self_k", d, d)
         self.wv = lin("self_v", d, d)
         self.wo = lin("self_o", d, d)
-        self.cq = lin("cross_q", d, d)
-        self.ck = lin("cross_k", d, d)
+        # never read (see __call__), but their draws fix every later weight
+        # and they belong to the version-1 checkpoint layout
+        lin("cross_q", d, d)
+        lin("cross_k", d, d)
         self.cv = lin("cross_v", d, d)
         self.co = lin("cross_o", d, d)
         self.ff1 = lin("ff1", d, config.ff_mult * d)
@@ -64,20 +66,21 @@ class AttentionBlock:
         c = self.config
         return T.reshape(T.transpose(x, (0, 2, 1, 3)), (batch, length, c.width))
 
-    def _attend(self, q_in, kv_in, proj_q, proj_k, proj_v, proj_o, mask=None):
+    def _attend(self, q_in, kv_in, mask):
+        """Multi-head self-attention of ``q_in`` over the window ``kv_in``."""
         c = self.config
         batch, q_len = q_in.shape[0], q_in.shape[1]
         kv_len = kv_in.shape[1]
         dh = c.width // c.heads
-        q = self._heads_split(T.linear(q_in, proj_q), batch, q_len)
-        k = self._heads_split(T.linear(kv_in, proj_k), batch, kv_len)
-        v = self._heads_split(T.linear(kv_in, proj_v), batch, kv_len)
+        q = self._heads_split(T.linear(q_in, self.wq), batch, q_len)
+        k = self._heads_split(T.linear(kv_in, self.wk), batch, kv_len)
+        v = self._heads_split(T.linear(kv_in, self.wv), batch, kv_len)
         scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
         if mask is not None:
             scores = T.add(scores, mask)
         weights = T.softmax(scores)
         ctx = self._heads_join(T.matmul(weights, v), batch, q_len)
-        return T.linear(ctx, proj_o)
+        return T.linear(ctx, self.wo)
 
     def _ln(self, x: Tensor, affine) -> Tensor:
         gamma, beta = affine
@@ -90,11 +93,13 @@ class AttentionBlock:
         q = self.config.lookback
         if x.shape[1] != q:
             raise T.ShapeError("attention_block", x.shape, (q,))
+        if xi_tokens.shape[1] != 1:
+            raise T.ShapeError("attention_block", xi_tokens.shape, (1,))
         rows, mask = (T.slice_axis(x, 1, q - 1, q), None) if last_only else (x, self.mask)
-        x = self._ln(T.add(rows, self._attend(rows, x, self.wq, self.wk, self.wv,
-                                              self.wo, mask)), self.ln1)
-        x = self._ln(T.add(x, self._attend(x, xi_tokens, self.cq, self.ck,
-                                           self.cv, self.co)), self.ln2)
+        x = self._ln(T.add(rows, self._attend(rows, x, mask)), self.ln1)
+        # a softmax over the one parameter token is exactly 1, so cross-attention
+        # is that token's value and output projections at every position
+        x = self._ln(T.add(x, T.linear(T.linear(xi_tokens, self.cv), self.co)), self.ln2)
         h = T.linear(T.gelu(T.linear(x, self.ff1)), self.ff2)
         return self._ln(T.add(x, h), self.ln3)
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import romuq
 from romuq.datagen import Grid, NormStats, ParamPoint, Trajectory
 from romuq.tensor import NonFiniteError
 from romuq.training import (LossWeights, ModelCheckpoint, TrainConfig,
@@ -204,6 +209,17 @@ def test_retrain_validates_replay_fraction():
         retrain(ckpt, tiny_dataset(), [], replay_fraction=1.5, epochs=1, seed=0)
 
 
+def test_retrain_refuses_an_empty_window_set():
+    ckpt = train(tiny_dataset(), tiny_config(), seed=8)
+    curve, lineage = list(ckpt.loss_curve), json.dumps(ckpt.lineage)
+    before = [p.data.copy() for _, p in ckpt.named_parameters()]
+    with pytest.raises(ValueError, match="no windows"):
+        retrain(ckpt, [], tiny_dataset(), replay_fraction=0.0, epochs=2, seed=1)
+    assert ckpt.loss_curve == curve and json.dumps(ckpt.lineage) == lineage
+    for want, (_, p) in zip(before, ckpt.named_parameters()):
+        assert p.data.tobytes() == want.tobytes()
+
+
 def test_retrain_improves_loss_on_new_data():
     dataset = tiny_dataset()
     ckpt = train(dataset, tiny_config(epochs=5), seed=9)
@@ -250,3 +266,43 @@ def test_checkpoint_load_refuses_weight_shapes_the_model_lacks(tmp_path):
     (ck / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="does not fit"):
         ModelCheckpoint.load(ck)
+
+
+# ---------------------------------------------------------------- determinism
+
+TRAIN_AND_SAVE = """
+import sys
+from romuq import datagen, training
+from romuq.config import LossWeights, TrainConfig, TransformerConfig, VaeConfig
+
+data = [datagen.solve_hopf_surrogate(mu, n_x=64, dt=0.2, n_t=80) for mu in (0.3, 0.4)]
+cfg = TrainConfig(
+    vae=VaeConfig(state_dim=64, latent_dim=4, hidden=(64,), param_dim=2, embed_dim=8),
+    transformer=TransformerConfig(lookback=10, horizon=10, latent_dim=4, width=64,
+                                  heads=4, blocks=1, param_dim=2),
+    loss=LossWeights(), epochs=2, batch_size=32, lr=1e-3)
+training.train(data, cfg, seed=3).save(sys.argv[1])
+"""
+
+
+def test_trained_weights_are_bit_identical_across_processes_and_thread_counts(tmp_path):
+    """The determinism contract in fresh interpreters: two epochs at the Hopf
+    adaptive fixture's model sizes, whose larger GEMMs a BLAS splits over
+    threads, trained twice with one BLAS thread and once with two."""
+    path = os.pathsep.join(filter(None, [str(Path(romuq.__file__).resolve().parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    procs = []
+    try:
+        for i, threads in enumerate(("1", "1", "2")):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", TRAIN_AND_SAVE, str(tmp_path / str(i))], env=env))
+        assert [proc.wait(timeout=300) for proc in procs] == [0, 0, 0]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+    one, again, two = [(tmp_path / str(i) / "weights.bin").read_bytes() for i in range(3)]
+    assert one == again  # same thread count, another process
+    assert one == two  # independent of the thread count

@@ -47,6 +47,12 @@ def test_block_refuses_window_other_than_lookback():
             model.blocks[0](Tensor(np.zeros((1, length, 16))), xi_tokens)
 
 
+def test_block_refuses_more_than_one_parameter_token():
+    model = make_model(lookback=6)
+    with pytest.raises(T.ShapeError, match="attention_block"):
+        model.blocks[0](Tensor(np.zeros((1, 6, 16))), Tensor(np.zeros((1, 2, 16))))
+
+
 def test_block_zero_value_projection_reduces_to_feedforward_path():
     model = make_model(heads=1)
     block = model.blocks[0]
@@ -94,26 +100,108 @@ def full_window_forecast(model, window, xi):
     return T.reshape(T.linear(last, model.out_head), (batch, c.horizon, c.latent_dim))
 
 
-@pytest.mark.parametrize("blocks", [1, 2])
-@pytest.mark.parametrize("batch", [1, 3])
-def test_forecast_matches_full_window_reference(blocks, batch):
-    model = make_model(blocks=blocks, param_dim=2)
-    rng = np.random.default_rng(10)
+def outputs_and_grads(model, reference, rng, batch):
+    """Forecast output and parameter gradients (of a random weighted sum of
+    the output) from the model, then from ``reference(model, window, xi)``."""
     window = rng.standard_normal((batch, 6, 2))
     xi = rng.standard_normal((batch, 2))
     weights = Tensor(rng.standard_normal((batch, 3, 2)))
     results = []
-    for run in (model.forecast, lambda w, x: full_window_forecast(model, w, x)):
+    for run in (model.forecast, lambda w, x: reference(model, w, x)):
         for _, p in model.named_parameters():
             p.zero_grad()
         with Tape() as tape:
             out = run(window, xi)
             backward(tape, T.tensor_sum(T.mul(out, weights)))
         results.append((out.data, [p.grad for _, p in model.named_parameters()]))
-    (fast, fast_grads), (ref, ref_grads) = results
+    return results
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_forecast_matches_full_window_reference(blocks, batch):
+    model = make_model(blocks=blocks, param_dim=2)
+    (fast, fast_grads), (ref, ref_grads) = outputs_and_grads(
+        model, full_window_forecast, np.random.default_rng(10), batch)
     np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-12)
-    for got, want in zip(fast_grads, ref_grads):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for (name, _), got, want in zip(model.named_parameters(), fast_grads, ref_grads):
+        if is_cross_qk(name):  # never read
+            assert got is None and want is None
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def is_cross_qk(name):
+    return ".cross_q." in name or ".cross_k." in name
+
+
+def multi_head_attention(block, q_in, kv_in, proj_q, proj_k, proj_v, proj_o,
+                         mask=None):
+    """General scaled dot-product attention of ``q_in`` over ``kv_in``."""
+    c = block.config
+    batch, q_len, kv_len = q_in.shape[0], q_in.shape[1], kv_in.shape[1]
+    q = block._heads_split(T.linear(q_in, proj_q), batch, q_len)
+    k = block._heads_split(T.linear(kv_in, proj_k), batch, kv_len)
+    v = block._heads_split(T.linear(kv_in, proj_v), batch, kv_len)
+    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
+                     1.0 / np.sqrt(c.width // c.heads))
+    if mask is not None:
+        scores = T.add(scores, mask)
+    ctx = block._heads_join(T.matmul(T.softmax(scores), v), batch, q_len)
+    return T.linear(ctx, proj_o)
+
+
+def cross_attention_forecast(model, window, xi):
+    """The forecast with every block's conditioning as general multi-head
+    cross-attention from its rows to the parameter token, through the
+    cross_q/cross_k projections that the model itself never reads."""
+    c = model.config
+    batch = window.shape[0]
+    named = dict(model.named_parameters())
+    h = T.add(T.linear(Tensor(window), model.in_proj), model.pos)
+    xi_tokens = T.reshape(T.linear(Tensor(xi), model.xi_proj), (batch, 1, c.width))
+    for i, block in enumerate(model.blocks):
+        cq, ck = ((named[f"transformer.block{i}.cross_{p}.w"],
+                   named[f"transformer.block{i}.cross_{p}.b"]) for p in "qk")
+        q = c.lookback
+        rows, mask = ((T.slice_axis(h, 1, q - 1, q), None) if i == c.blocks - 1
+                      else (h, block.mask))
+        x = block._ln(T.add(rows, multi_head_attention(
+            block, rows, h, block.wq, block.wk, block.wv, block.wo, mask)), block.ln1)
+        x = block._ln(T.add(x, multi_head_attention(
+            block, x, xi_tokens, cq, ck, block.cv, block.co)), block.ln2)
+        ff = T.linear(T.gelu(T.linear(x, block.ff1)), block.ff2)
+        h = block._ln(T.add(x, ff), block.ln3)
+    out = T.linear(T.reshape(h, (batch, c.width)), model.out_head)
+    return T.reshape(out, (batch, c.horizon, c.latent_dim))
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_forecast_equals_general_cross_attention(blocks, batch):
+    """A softmax over one key is exactly 1 and its backward exactly 0, so the
+    value path alone gives the cross-attention's output and every gradient:
+    bit for bit when only the last position is computed (blocks=1)."""
+    model = make_model(blocks=blocks, param_dim=2)
+    rng = np.random.default_rng(11)
+    for name, p in model.named_parameters():
+        if is_cross_qk(name):
+            p.data[:] = rng.standard_normal(p.shape)
+    (fast, fast_grads), (ref, ref_grads) = outputs_and_grads(
+        model, cross_attention_forecast, rng, batch)
+
+    def same(got, want, name):
+        if blocks == 1:
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+    same(fast, ref, "forecast")
+    for (name, _), got, want in zip(model.named_parameters(), fast_grads, ref_grads):
+        if is_cross_qk(name):
+            assert got is None and not np.any(want)
+        else:
+            same(got, want, name)
 
 
 def test_forecast_wrong_window_length():
