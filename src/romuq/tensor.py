@@ -55,10 +55,9 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
-        else:
-            self.grad += g
+        """Keep the first gradient as given and add later ones out of place:
+        no gradient is updated in place, so tensors may share one array."""
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -120,10 +119,10 @@ def _record(name: str, inputs: Sequence[Tensor], out_data: np.ndarray,
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     for axis, (gs, ss) in enumerate(zip(g.shape, shape)):
         if ss == 1 and gs != 1:
-            g = g.sum(axis=axis, keepdims=True)
+            g = np.add.reduce(g, axis=axis, keepdims=True)
     return g.reshape(shape)
 
 
@@ -176,23 +175,29 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record("scale", (a,), a.data * c, bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``a @ b``, plus ``bias`` (broadcast, added out of place) when given."""
+    inputs = (a, b) if bias is None else (a, b, bias)
     if a.data.ndim < 1 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError("matmul", a.shape, b.shape)
+        raise ShapeError("matmul", *(t.shape for t in inputs))
     try:
         out = np.matmul(a.data, b.data)
+        if bias is not None:
+            out = out + bias.data
     except ValueError:
-        raise ShapeError("matmul", a.shape, b.shape) from None
+        raise ShapeError("matmul", *(t.shape for t in inputs)) from None
 
     def bwd(g):
         ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
         if a.data.ndim > 2 and b.data.ndim == 2:
             # one GEMM over the flattened rows, not a stack of per-batch
             # products for _unbroadcast to sum
-            return ga, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        return ga, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return (ga, gb) if bias is None else (ga, gb, _unbroadcast(g, bias.shape))
 
-    return _record("matmul", (a, b), out, bwd)
+    return _record("matmul", inputs, out, bwd)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -241,39 +246,43 @@ def gelu(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax along the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    shifted = a.data - np.maximum.reduce(a.data, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = e / np.add.reduce(e, axis=-1, keepdims=True)
 
     def bwd(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
+        dot = np.add.reduce(g * out, axis=-1, keepdims=True)
         return (out * (g - dot),)
 
     return _record("softmax", (a,), out, bwd)
 
 
-def layer_norm(a: Tensor, eps: float = 1e-9) -> Tensor:
-    """Normalise the last axis to zero mean, unit variance (no affine)."""
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-9) -> Tensor:
+    """Normalise the last axis to zero mean and unit variance, then scale by
+    ``gamma`` and shift by ``beta``."""
     x = a.data
-    m = x.mean(axis=-1, keepdims=True)
-    xc = x - m
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    out = xc * inv
+    norm = xc * inv
 
     def bwd(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gy = (g * out).mean(axis=-1, keepdims=True)
-        return ((g - gm - out * gy) * inv,)
+        gn = g * gamma.data
+        gm = np.add.reduce(gn, axis=-1, keepdims=True) / n
+        gy = np.add.reduce(gn * norm, axis=-1, keepdims=True) / n
+        return ((gn - gm - norm * gy) * inv, _unbroadcast(g * norm, gamma.shape),
+                _unbroadcast(g, beta.shape))
 
-    return _record("layer_norm", (a,), out, bwd)
+    return _record("layer_norm", (a, gamma, beta), norm * gamma.data + beta.data, bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if math.prod(shape) != a.size and -1 not in shape:
-        raise ShapeError("reshape", a.shape, shape)
-    out = a.data.reshape(shape)
+    try:
+        out = a.data.reshape(shape)
+    except ValueError:
+        raise ShapeError("reshape", a.shape, shape) from None
 
     def bwd(g):
         return (g.reshape(a.shape),)
@@ -379,8 +388,7 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, layer) -> Tensor:
     """x @ w + b for a ``(w, b)`` pair made by :meth:`Params.linear`."""
-    w, b = layer
-    return add(matmul(x, w), b)
+    return matmul(x, *layer)
 
 
 class Params:
@@ -403,6 +411,6 @@ class Params:
         return self.add(f"{name}.w", w), self.add(f"{name}.b", np.zeros(n_out))
 
     def affine(self, name: str, dim: int):
-        """Unit gain and zero shift applied after a layer norm."""
+        """Unit gain and zero shift: the affine pair of a layer norm."""
         return (self.add(f"{name}.gamma", np.ones(dim)),
                 self.add(f"{name}.beta", np.zeros(dim)))

@@ -57,10 +57,13 @@ class AttentionBlock:
         self.ln2 = params.affine(f"block{index}.ln2", d)
         self.ln3 = params.affine(f"block{index}.ln3", d)
 
-    def _heads_split(self, x: Tensor, batch: int, length: int) -> Tensor:
+    def _heads_split(self, x: Tensor, batch: int, length: int,
+                     axes=(0, 2, 1, 3)) -> Tensor:
+        """``(B, L, width)`` to ``(B, H, L, dh)``, or the ``axes`` order of
+        ``(B, L, H, dh)``."""
         c = self.config
         dh = c.width // c.heads
-        return T.transpose(T.reshape(x, (batch, length, c.heads, dh)), (0, 2, 1, 3))
+        return T.transpose(T.reshape(x, (batch, length, c.heads, dh)), axes)
 
     def _heads_join(self, x: Tensor, batch: int, length: int) -> Tensor:
         c = self.config
@@ -73,18 +76,14 @@ class AttentionBlock:
         kv_len = kv_in.shape[1]
         dh = c.width // c.heads
         q = self._heads_split(T.linear(q_in, self.wq), batch, q_len)
-        k = self._heads_split(T.linear(kv_in, self.wk), batch, kv_len)
+        k_t = self._heads_split(T.linear(kv_in, self.wk), batch, kv_len, (0, 2, 3, 1))
         v = self._heads_split(T.linear(kv_in, self.wv), batch, kv_len)
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+        scores = T.scale(T.matmul(q, k_t), 1.0 / np.sqrt(dh))
         if mask is not None:
             scores = T.add(scores, mask)
         weights = T.softmax(scores)
         ctx = self._heads_join(T.matmul(weights, v), batch, q_len)
         return T.linear(ctx, self.wo)
-
-    def _ln(self, x: Tensor, affine) -> Tensor:
-        gamma, beta = affine
-        return T.add(T.mul(T.layer_norm(x), gamma), beta)
 
     def __call__(self, x: Tensor, xi_tokens: Tensor, last_only: bool = False) -> Tensor:
         """The block's output at every window position, or with
@@ -96,12 +95,12 @@ class AttentionBlock:
         if xi_tokens.shape[1] != 1:
             raise T.ShapeError("attention_block", xi_tokens.shape, (1,))
         rows, mask = (T.slice_axis(x, 1, q - 1, q), None) if last_only else (x, self.mask)
-        x = self._ln(T.add(rows, self._attend(rows, x, mask)), self.ln1)
+        x = T.layer_norm(T.add(rows, self._attend(rows, x, mask)), *self.ln1)
         # a softmax over the one parameter token is exactly 1, so cross-attention
         # is that token's value and output projections at every position
-        x = self._ln(T.add(x, T.linear(T.linear(xi_tokens, self.cv), self.co)), self.ln2)
+        x = T.layer_norm(T.add(x, T.linear(T.linear(xi_tokens, self.cv), self.co)), *self.ln2)
         h = T.linear(T.gelu(T.linear(x, self.ff1)), self.ff2)
-        return self._ln(T.add(x, h), self.ln3)
+        return T.layer_norm(T.add(x, h), *self.ln3)
 
 
 class LatentTransformer:

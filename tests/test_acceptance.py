@@ -127,6 +127,7 @@ def _check_grad(build, x0, tol):
 def test_criterion_1_autodiff(criterion):
     rng = np.random.default_rng(0)
     w_const = Tensor(rng.standard_normal((4, 3)))
+    ln_affine = (Tensor(np.linspace(0.5, 2.0, 4)), Tensor(np.linspace(-1.0, 1.0, 4)))
     ops = {
         "matmul": lambda x: T.tensor_sum(T.mul(T.matmul(x, w_const),
                                                T.matmul(x, w_const))),
@@ -136,7 +137,7 @@ def test_criterion_1_autodiff(criterion):
         "tanh": lambda x: T.tensor_sum(T.tanh(x)),
         "gelu": lambda x: T.tensor_sum(T.gelu(x)),
         "softmax": lambda x: T.tensor_sum(T.mul(T.softmax(x), x)),
-        "layer_norm": lambda x: T.tensor_sum(T.mul(T.layer_norm(x), x)),
+        "layer_norm": lambda x: T.tensor_sum(T.mul(T.layer_norm(x, *ln_affine), x)),
         "mean": lambda x: T.tensor_mean(x),
     }
     worst = 0.0

@@ -16,11 +16,11 @@ def test_zero_grad_from_zero_state_leaves_params_unchanged():
 def test_zero_grad_decays_existing_moments():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     state = AdamState([p])
-    state.m = [np.array([0.5, 0.5])]
-    state.v = [np.array([0.25, 0.25])]
+    state.m[:] = [0.5, 0.5]
+    state.v[:] = [0.25, 0.25]
     adam_step([p], [np.zeros(2)], state, lr=0.1)
-    np.testing.assert_allclose(state.m[0], 0.9 * 0.5)
-    np.testing.assert_allclose(state.v[0], 0.999 * 0.25)
+    np.testing.assert_allclose(state.m, 0.9 * 0.5)
+    np.testing.assert_allclose(state.v, 0.999 * 0.25)
 
 
 def test_first_step_from_zero_state_matches_symbolic_expansion():
@@ -41,6 +41,13 @@ def test_shape_mismatch_raises():
     state = AdamState([p])
     with pytest.raises(ShapeError):
         adam_step([p], [np.zeros(4)], state)
+    with pytest.raises(ShapeError):  # a state built for other parameters
+        adam_step([Tensor(np.zeros(4))], [None], state)
+    with pytest.raises(ShapeError):
+        adam_step([p, p], [None, None], state)
+    with pytest.raises(ShapeError):
+        adam_step([p], [], state)
+    assert state.t == 0 and not p.data.any()
 
 
 def test_identical_runs_are_bit_identical():
@@ -55,3 +62,52 @@ def test_identical_runs_are_bit_identical():
         return p.data.tobytes()
 
     assert run() == run()
+
+
+def reference_adam(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-parameter Adam loop that the flat update replaced: one moment
+    pair per parameter, a ``None`` gradient read as zeros."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_steps, start=1):
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for i, (p, g) in enumerate(zip(params, grads)):
+            g = np.zeros_like(p) if g is None else g
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+            p -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+    return params
+
+
+def test_flat_update_is_byte_equal_to_the_per_parameter_loop():
+    rng = np.random.default_rng(5)
+    shapes = [(3, 4), (4,), (), (2, 3, 2), (5,)]
+    start = [rng.standard_normal(s) for s in shapes]
+    # parameter 1 never gets a gradient, parameter 3 loses its gradient
+    # after step 7, parameter 4 gets its first one at step 12
+    grad_steps = [[rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)
+                   if not (i == 1 or (i == 3 and t > 7) or (i == 4 and t < 12)) else None
+                   for i, s in enumerate(shapes)] for t in range(20)]
+    params = [Tensor(x.copy(), requires_grad=True) for x in start]
+    opt = Adam(params, lr=0.01)
+    for grads in grad_steps:
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+    want = reference_adam([x.copy() for x in start], grad_steps, lr=0.01)
+    for got, ref in zip(params, want):
+        assert got.data.tobytes() == ref.tobytes()
+    assert params[1].data.tobytes() == start[1].tobytes()
+
+
+def test_parameter_without_gradient_is_unchanged_while_its_moments_are_zero():
+    p = Tensor(np.array([1.5, -0.0, 0.0, 3e-300]), requires_grad=True)
+    q = Tensor(np.ones(3), requires_grad=True)
+    state = AdamState([p, q])
+    before = p.data.tobytes()
+    for _ in range(5):
+        adam_step([p, q], [None, np.full(3, 0.5)], state, lr=0.1)
+    assert p.data.tobytes() == before
+    assert not state.m[:4].any() and not state.v[:4].any()
+    assert (q.data < 1.0).all()

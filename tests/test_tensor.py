@@ -62,7 +62,7 @@ PRIMITIVE_CASES = {
     "tanh": lambda a: T.tensor_sum(T.mul(T.tanh(a), a)),
     "gelu": lambda a: T.tensor_sum(T.mul(T.gelu(a), a)),
     "softmax": lambda a: T.tensor_sum(T.mul(T.softmax(a), a)),
-    "layer_norm": lambda a: T.tensor_sum(T.mul(T.layer_norm(a), a)),
+    "layer_norm": lambda a, gamma, beta: T.tensor_sum(T.mul(T.layer_norm(a, gamma, beta), a)),
     "reshape": lambda a: T.tensor_sum(T.mul(T.reshape(a, (a.size,)), T.reshape(a, (a.size,)))),
     "transpose": lambda a: T.tensor_sum(T.mul(T.transpose(a), T.transpose(a))),
     "concat": lambda a, b: T.tensor_sum(T.mul(T.concat([a, b], axis=0), T.concat([a, b], axis=0))),
@@ -82,6 +82,8 @@ def test_primitive_gradients_match_finite_differences(name):
     for _ in range(10):
         if name == "log":
             arrays = [RNG.uniform(0.5, 2.0, size=(4, 4))]
+        elif name == "layer_norm":
+            arrays = [RNG.standard_normal((4, 4)), RNG.standard_normal(4), RNG.standard_normal(4)]
         elif name in TWO_ARG:
             arrays = [RNG.standard_normal((4, 4)), RNG.standard_normal((4, 4))]
         else:
@@ -128,7 +130,7 @@ def test_softmax_rows_sum_to_one_and_positive():
 
 def test_layer_norm_moments():
     x = RNG.standard_normal((16, 33)) * 3 + 1.5
-    out = T.layer_norm(Tensor(x)).data
+    out = T.layer_norm(Tensor(x), Tensor(np.ones(33)), Tensor(np.zeros(33))).data
     assert np.max(np.abs(out.mean(axis=-1))) < 1e-10
     assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-8
 
@@ -309,9 +311,9 @@ def test_forecast_without_tape_records_nothing():
     window = np.random.default_rng(1).standard_normal((1, 10, 4))
     with Tape() as tape:
         taped = transformer.forecast(window, np.zeros(2))
-    assert len(tape) == 53
+    assert len(tape) == 35
     out = transformer.forecast(window, np.zeros(2))
-    assert len(tape) == 53 and not T._TAPE_STACK
+    assert len(tape) == 35 and not T._TAPE_STACK
     assert not out.requires_grad
     assert out.data.tobytes() == taped.data.tobytes()
 
@@ -328,5 +330,109 @@ def test_training_step_records_every_op_by_a_primitive():
                              rng.standard_normal((3, 2)), LossWeights(),
                              rng.standard_normal((3, 10, 4)))
         backward(tape, loss)
-    assert len(tape) == 117
+    assert len(tape) == 85
     assert {entry.name for entry in tape.ops} <= PRIMITIVE_LABELS
+
+
+def test_reshape_to_an_impossible_shape_raises_shape_error():
+    for shape in [(-1, 3), (-1, -1), (2, 3)]:
+        with pytest.raises(ShapeError) as err:
+            T.reshape(Tensor(np.zeros(7)), shape)
+        assert err.value.op == "reshape"
+        assert err.value.shapes == ((7,), shape)
+
+
+# ------------------------------------------------------- fused primitives
+
+
+def grads_of(build, arrays, weights):
+    """Output bytes and the gradients of sum(output * weights) w.r.t. every
+    input of ``build``."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = build(*tensors)
+        backward(tape, T.tensor_sum(T.mul(out, Tensor(weights))))
+    return out.data.tobytes(), [t.grad.tobytes() for t in tensors], len(tape)
+
+
+@pytest.mark.parametrize("a_shape", [(5, 4), (3, 7, 4)])
+def test_matmul_bias_equals_matmul_then_add(a_shape):
+    rng = np.random.default_rng(21)
+    arrays = [rng.standard_normal(a_shape), rng.standard_normal((4, 6)),
+              rng.standard_normal(6)]
+    weights = rng.standard_normal(a_shape[:-1] + (6,))
+    fused = grads_of(T.matmul, arrays, weights)
+    chain = grads_of(lambda a, b, bias: T.add(T.matmul(a, b), bias), arrays, weights)
+    assert fused[:2] == chain[:2]
+    assert (fused[2], chain[2]) == (3, 4)  # the closing mul and sum included
+
+
+def test_matmul_bias_shape_error_names_all_three_shapes():
+    with pytest.raises(ShapeError) as err:
+        T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+    assert err.value.shapes == ((2, 3), (3, 4), (3,))
+
+
+def old_layer_norm(a, eps=1e-9):
+    """The layer norm without gain and shift, as it was before the affine
+    pair moved inside the primitive."""
+    x = a.data
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    out = xc * inv
+
+    def bwd(g):
+        gm = g.mean(axis=-1, keepdims=True)
+        gy = (g * out).mean(axis=-1, keepdims=True)
+        return ((g - gm - out * gy) * inv,)
+
+    return T._record("layer_norm", (a,), out, bwd)
+
+
+@pytest.mark.parametrize("shape", [(6, 8), (2, 5, 8)])
+def test_layer_norm_affine_equals_the_three_op_chain(shape):
+    rng = np.random.default_rng(22)
+    arrays = [rng.standard_normal(shape) * 3 + 1, rng.standard_normal(8),
+              rng.standard_normal(8)]
+    weights = rng.standard_normal(shape)
+    fused = grads_of(T.layer_norm, arrays, weights)
+    chain = grads_of(lambda a, gamma, beta: T.add(T.mul(old_layer_norm(a), gamma), beta),
+                     arrays, weights)
+    assert fused[:2] == chain[:2]
+    assert (fused[2], chain[2]) == (3, 5)
+
+
+def test_shared_gradients_are_never_updated_in_place(monkeypatch):
+    """x feeds one add twice and a reshape, so its gradients are views of
+    one another; every stored gradient must keep its values to the end."""
+    rng = np.random.default_rng(23)
+    x0, w0 = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+
+    def run():
+        x = Tensor(x0, requires_grad=True)
+        w = Tensor(w0, requires_grad=True)
+        with Tape() as tape:
+            u = T.add(T.add(x, x), w)
+            r = T.mul(T.reshape(x, (3, 2)), T.reshape(u, (3, 2)))
+            backward(tape, T.add(T.tensor_sum(T.mul(u, u)), T.tensor_sum(r)))
+        return x.grad.tobytes(), w.grad.tobytes()
+
+    stored = []
+    accumulate = Tensor.accumulate_grad
+
+    def recording(self, g):
+        accumulate(self, g)
+        stored.append((self.grad, self.grad.copy()))
+
+    monkeypatch.setattr(Tensor, "accumulate_grad", recording)
+    got = run()
+    assert all(np.array_equal(arr, snapshot) for arr, snapshot in stored)
+
+    def copying(self, g):
+        if self.grad is None:
+            self.grad = np.array(g, dtype=np.float64, copy=True)
+        else:
+            self.grad += g
+
+    monkeypatch.setattr(Tensor, "accumulate_grad", copying)
+    assert got == run()

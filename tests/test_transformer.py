@@ -69,11 +69,11 @@ def test_block_zero_value_projection_reduces_to_feedforward_path():
     def bias_tok(proj):
         return Tensor(np.broadcast_to(proj[1].data, (1, 6, 16)).copy())
 
-    h = block._ln(T.add(x, bias_tok(block.wo)), block.ln1)
-    h = block._ln(T.add(h, bias_tok(block.co)), block.ln2)
+    h = T.layer_norm(T.add(x, bias_tok(block.wo)), *block.ln1)
+    h = T.layer_norm(T.add(h, bias_tok(block.co)), *block.ln2)
     ff = T.add(T.matmul(T.gelu(T.add(T.matmul(h, block.ff1[0]), block.ff1[1])),
                         block.ff2[0]), block.ff2[1])
-    expected = block._ln(T.add(h, ff), block.ln3).data
+    expected = T.layer_norm(T.add(h, ff), *block.ln3).data
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
@@ -166,12 +166,12 @@ def cross_attention_forecast(model, window, xi):
         q = c.lookback
         rows, mask = ((T.slice_axis(h, 1, q - 1, q), None) if i == c.blocks - 1
                       else (h, block.mask))
-        x = block._ln(T.add(rows, multi_head_attention(
-            block, rows, h, block.wq, block.wk, block.wv, block.wo, mask)), block.ln1)
-        x = block._ln(T.add(x, multi_head_attention(
-            block, x, xi_tokens, cq, ck, block.cv, block.co)), block.ln2)
+        x = T.layer_norm(T.add(rows, multi_head_attention(
+            block, rows, h, block.wq, block.wk, block.wv, block.wo, mask)), *block.ln1)
+        x = T.layer_norm(T.add(x, multi_head_attention(
+            block, x, xi_tokens, cq, ck, block.cv, block.co)), *block.ln2)
         ff = T.linear(T.gelu(T.linear(x, block.ff1)), block.ff2)
-        h = block._ln(T.add(x, ff), block.ln3)
+        h = T.layer_norm(T.add(x, ff), *block.ln3)
     out = T.linear(T.reshape(h, (batch, c.width)), model.out_head)
     return T.reshape(out, (batch, c.horizon, c.latent_dim))
 
