@@ -19,7 +19,7 @@ import numpy as np
 from .datagen import ParamPoint, Trajectory
 from .metrics import ZeroVarianceError, pearson, scaled_mse, write_csv
 from .training import ModelCheckpoint, predict_rollout, retrain
-from .uq import aggregate_param, second_pass
+from .uq import aggregate_param, check_ensemble_size, second_pass
 
 
 @dataclass
@@ -104,6 +104,7 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    check_ensemble_size(ensemble_n)
     grid = list(grid)
     if len(grid) < 2:  # the uncertainty-error correlation needs two points
         raise ValueError(f"the grid needs at least two points, got {len(grid)}")

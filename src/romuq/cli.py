@@ -20,7 +20,8 @@ from .metrics import (MetricReport, crps, kinetic_energy, relative_mse, scaled_m
 from .tensor import NonFiniteError
 from .training import ModelCheckpoint, TrainingDiverged, predict_rollout, train
 from .transformer import RolloutDivergence
-from .uq import second_pass, write_nu_xi_csv, write_uq_csvs
+from .uq import (aggregate_param, check_ensemble_size, second_pass,
+                 write_nu_xi_csv, write_uq_csvs)
 
 # Every failure a command reports instead of a traceback: the first entry
 # whose exception types match gives the exit code and the message prefix.
@@ -203,6 +204,7 @@ def cmd_infer(ckpt_dir, data_file, out_dir):
 @click.option("--out", "out_dir", type=click.Path(), default="runs/uq")
 def cmd_uq(ckpt_dir, data_file, ensemble_n, seed, out_dir):
     """Second-pass ensemble UQ over a rollout; emit nu CSV tables."""
+    check_ensemble_size(ensemble_n)
     ckpt = ModelCheckpoint.load(ckpt_dir)
     traj = read_trajectory(data_file)
     predicted, truth = _predict_for(ckpt, traj)
@@ -210,7 +212,7 @@ def cmd_uq(ckpt_dir, data_file, ensemble_n, seed, out_dir):
                                   seed=seed)
     out = Path(out_dir)
     write_uq_csvs(out, field)
-    write_nu_xi_csv(out / "nu_xi.csv", [(traj.param, float(field.nu.mean()))])
+    write_nu_xi_csv(out / "nu_xi.csv", [(traj.param, aggregate_param(field))])
     report = MetricReport()
     _, smse = scaled_mse(predicted, truth)
     report.add(traj.param, relative_mse(predicted, truth),

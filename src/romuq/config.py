@@ -128,14 +128,21 @@ class Schedule:
     lr: float = 1e-3
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be >= 1")
 
 
 @dataclass
 class TrainingSection(Schedule):
     replay_fraction: float = 0.25
     retrain_epochs: int = 40
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.retrain_epochs < 1:
+            raise ConfigError("retrain_epochs must be >= 1")
+        if not 0 <= self.replay_fraction <= 1:
+            raise ConfigError("replay_fraction must be in [0, 1]")
 
 
 @dataclass
@@ -152,12 +159,20 @@ class TrainConfig(Schedule):
 class UqSection:
     ensemble_n: int = 64
 
+    def __post_init__(self):
+        if self.ensemble_n < 2:
+            raise ConfigError("ensemble_n must be >= 2")
+
 
 @dataclass
 class AdaptiveSection:
     budget: int = 5
     threshold: float = 0.0
     grid: list = field(default_factory=list)  # list of {name: value} maps
+
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ConfigError("budget must be >= 1")
 
 
 @dataclass

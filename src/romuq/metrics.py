@@ -12,6 +12,11 @@ from .datagen import ParamPoint
 
 SCALED_MSE_EPS = 1e-8
 
+# Decoded rows (one member's snapshot at one time step) per block of the
+# second pass and of crps: their temporaries stay a few MB, whatever the
+# ensemble size and the number of steps.
+BLOCK_ROWS = 2048
+
 
 class ZeroVarianceError(ValueError):
     pass
@@ -64,12 +69,28 @@ def scaled_mse(pred: np.ndarray, truth: np.ndarray, eps: float = SCALED_MSE_EPS)
     return per_point, float(per_point.mean())
 
 
+def time_blocks(n_t: int, n: int) -> list:
+    """Slices covering ``range(n_t)`` in blocks of about ``BLOCK_ROWS // n``
+    time steps, all ``n`` members in each. numpy sums a single column
+    pairwise but several columns member by member, so no block is a single
+    step unless the whole range is one: a block's sums over the members are
+    then bit for bit those of one call over every step."""
+    step = max(2, BLOCK_ROWS // n)
+    edges = list(range(0, n_t, step)) + [n_t]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def crps(ensemble: np.ndarray, truth: np.ndarray, form: str = "printed") -> float:
     """Ensemble CRPS averaged over all elements.
 
     ``printed`` uses squared differences:
         (1/n) sum_i (e_i - t)^2 - (1/(2 n^2)) sum_{i != j} (e_i - e_j)^2
     ``abs`` is the standard absolute-value ensemble form.
+
+    The per-element scores are computed in blocks of time steps (the first
+    axis of ``truth``), so the temporaries stay a few MB.
     """
     ensemble = np.asarray(ensemble, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -78,24 +99,28 @@ def crps(ensemble: np.ndarray, truth: np.ndarray, form: str = "printed") -> floa
         raise ValueError("ensemble needs at least two members")
     if ensemble.shape[1:] != truth.shape:
         raise ValueError(f"shape mismatch {ensemble.shape[1:]} vs {truth.shape}")
+    if form not in ("printed", "abs"):
+        raise ValueError(f"unknown CRPS form {form!r}")
 
-    if form == "printed":
-        term1 = np.mean((ensemble - truth[None]) ** 2, axis=0)
-        # sum_{i,j} (e_i - e_j)^2 = 2n sum e^2 - 2 (sum e)^2
-        s1 = ensemble.sum(axis=0)
-        s2 = (ensemble ** 2).sum(axis=0)
-        pair = 2.0 * n * s2 - 2.0 * s1 ** 2
-        term2 = pair / (2.0 * n * n)
-        return float(np.mean(term1 - term2))
-    if form == "abs":
-        term1 = np.mean(np.abs(ensemble - truth[None]), axis=0)
-        srt = np.sort(ensemble, axis=0)
-        k = np.arange(n).reshape((n,) + (1,) * truth.ndim)
-        # sum_{i,j} |e_i - e_j| = 2 sum_k e_(k) (2k - n + 1), 0-indexed
-        pair = 2.0 * np.sum(srt * (2 * k - n + 1), axis=0)
-        term2 = pair / (2.0 * n * n)
-        return float(np.mean(term1 - term2))
-    raise ValueError(f"unknown CRPS form {form!r}")
+    shape = truth.shape or (1,)  # a 0-d truth is one step of one element
+    ensemble, truth = ensemble.reshape((n,) + shape), truth.reshape(shape)
+    k = np.arange(n).reshape((n,) + (1,) * len(shape))
+    score = np.empty(shape)
+    for s in time_blocks(shape[0], n):
+        e = ensemble[:, s]
+        if form == "printed":
+            term1 = np.mean((e - truth[None, s]) ** 2, axis=0)
+            # sum_{i,j} (e_i - e_j)^2 = 2n sum e^2 - 2 (sum e)^2
+            s1 = e.sum(axis=0)
+            s2 = (e ** 2).sum(axis=0)
+            pair = 2.0 * n * s2 - 2.0 * s1 ** 2
+        else:
+            term1 = np.mean(np.abs(e - truth[None, s]), axis=0)
+            srt = np.sort(e, axis=0)
+            # sum_{i,j} |e_i - e_j| = 2 sum_k e_(k) (2k - n + 1), 0-indexed
+            pair = 2.0 * np.sum(srt * (2 * k - n + 1), axis=0)
+        score[s] = term1 - pair / (2.0 * n * n)
+    return float(np.mean(score))
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

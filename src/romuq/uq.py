@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import ParamPoint
-from .metrics import write_csv
+from .metrics import time_blocks, write_csv
 from .training import ModelCheckpoint
 
 
@@ -52,18 +52,23 @@ def ensemble_noise(seed: int, n: int, n_t: int, dim: int) -> np.ndarray:
     return noise
 
 
+def check_ensemble_size(n: int):
+    if n < 2:
+        raise ValueError("ensemble size must be >= 2")
+
+
 def second_pass(predicted_states: np.ndarray, ckpt: ModelCheckpoint,
                 xi: ParamPoint, n: int = 64, seed: int = 0):
     """Ensemble UQ over a decoded prediction window (physical space).
 
     Returns the UncertaintyField and the decoded ensemble (n, n_t, n_xy),
     the latter feeding CRPS. Uses encoder/decoder only; the transformer is
-    never invoked.
+    never invoked. Members are decoded in blocks of time steps, so beyond
+    the ensemble itself the memory is one block's.
     """
-    if n < 2:
-        raise ValueError("ensemble size must be >= 2")
+    check_ensemble_size(n)
     states = np.asarray(predicted_states, dtype=np.float64)
-    n_t = states.shape[0]
+    n_t, n_xy = states.shape
     z_dim = ckpt.config.vae.latent_dim
 
     norm = ckpt.stats.forward(states)
@@ -71,12 +76,15 @@ def second_pass(predicted_states: np.ndarray, ckpt: ModelCheckpoint,
     mu, sigma = dist.mu.data, dist.sigma()
 
     noise = ensemble_noise(seed, n, n_t, z_dim)
-    z = mu[None, :, :] + sigma[None, :, :] * noise
-    decoded = ckpt.vae.decode(z.reshape(n * n_t, z_dim), xi).data
-    ensemble = ckpt.stats.inverse(decoded).reshape(n, n_t, states.shape[1])
-
-    mean = ensemble.mean(axis=0)
-    nu = np.sqrt(np.mean((ensemble - mean[None]) ** 2, axis=0))
+    ensemble = np.empty((n, n_t, n_xy))
+    nu = np.empty((n_t, n_xy))
+    for s in time_blocks(n_t, n):
+        z = mu[None, s] + sigma[None, s] * noise[:, s]
+        decoded = ckpt.vae.decode(z.reshape(-1, z_dim), xi).data
+        block = ckpt.stats.inverse(decoded).reshape(n, -1, n_xy)
+        ensemble[:, s] = block
+        mean = block.mean(axis=0)
+        nu[s] = np.sqrt(np.mean((block - mean[None]) ** 2, axis=0))
     field = UncertaintyField(nu=nu, param=xi, ensemble_size=n, seed=seed)
     return field, ensemble
 

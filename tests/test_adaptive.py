@@ -156,6 +156,20 @@ def test_run_loop_rejects_one_point_grid_before_generating(tmp_path, trained_pai
     assert not (tmp_path / "iter0_nu.csv").exists()
 
 
+def test_run_loop_rejects_tiny_ensemble_before_generating(tmp_path, trained_pair):
+    ckpt, initial = trained_pair
+    calls = []
+
+    def counting(point):
+        calls.append(point)
+        return generator(point)
+
+    with pytest.raises(ValueError, match="ensemble size must be >= 2"):
+        run_loop(ckpt, counting, [H(0.2), H(0.9)], budget=1, threshold=0.0,
+                 initial_data=initial, ensemble_n=1, out_dir=tmp_path)
+    assert calls == []
+
+
 def test_evaluate_grid_shapes(trained_pair):
     ckpt, initial = trained_pair
     grid = [H(0.4), H(0.5)]

@@ -141,7 +141,11 @@ def test_invalid_config_exit_code(runner, tmp_path):
                               "--sweep", "mu=0.3"])
     assert res.exit_code == 3
     for text in ('not json', '{"vae": {"hidden": ["a"]}}',
-                 '{"vae": {"latent_dim": "x"}}', '{"datagen": {"n_t": "x"}}'):
+                 '{"vae": {"latent_dim": "x"}}', '{"datagen": {"n_t": "x"}}',
+                 '{"training": {"epochs": 0}}', '{"training": {"retrain_epochs": 0}}',
+                 '{"training": {"replay_fraction": -0.1}}',
+                 '{"training": {"replay_fraction": 1.5}}',
+                 '{"uq": {"ensemble_n": 1}}', '{"adaptive": {"budget": 0}}'):
         cfg.write_text(text)
         res = runner.invoke(main, ["generate", "--config", str(cfg),
                                   "--sweep", "mu=0.3"])
@@ -219,6 +223,14 @@ def test_uq_output_deterministic(runner, tmp_path):
         assert res.exit_code == 0, res.output
     for name in ("uq_field.csv", "nu_t.csv", "metrics.csv"):
         assert (tmp_path / "u1" / name).read_bytes() == (tmp_path / "u2" / name).read_bytes()
+
+
+def test_uq_tiny_ensemble_exit_5_before_loading_anything(runner, tmp_path):
+    # neither input exists: the size is refused before either is read
+    res = runner.invoke(main, ["uq", "--checkpoint", str(tmp_path / "no"),
+                              "--data", str(tmp_path / "no.updr"), "--n", "1"])
+    assert res.exit_code == 5, res.output
+    assert "ensemble size must be >= 2" in res.output
 
 
 def test_train_missing_data_exit_code(runner, tmp_path):

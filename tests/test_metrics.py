@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from romuq.datagen import ParamPoint
-from romuq.metrics import (MetricReport, ZeroVarianceError, crps,
-                           kinetic_energy, pearson, relative_mse, scaled_mse)
+from romuq.metrics import (BLOCK_ROWS, MetricReport, ZeroVarianceError, crps,
+                           kinetic_energy, pearson, relative_mse, scaled_mse,
+                           time_blocks)
 
 # ------------------------------------------------------------- kinetic energy
 
@@ -165,6 +166,50 @@ def test_crps_validates_input():
         crps(np.zeros((4, 3)), np.zeros(2))
     with pytest.raises(ValueError):
         crps(np.zeros((4, 3)), np.zeros(3), form="nope")
+
+
+def one_shot_crps(ensemble, truth, form):
+    """CRPS with every element's terms in one pass: the reference the
+    blocked crps must match bit for bit."""
+    n = ensemble.shape[0]
+    if form == "printed":
+        term1 = np.mean((ensemble - truth[None]) ** 2, axis=0)
+        s1 = ensemble.sum(axis=0)
+        s2 = (ensemble ** 2).sum(axis=0)
+        pair = 2.0 * n * s2 - 2.0 * s1 ** 2
+    else:
+        term1 = np.mean(np.abs(ensemble - truth[None]), axis=0)
+        k = np.arange(n).reshape((n,) + (1,) * truth.ndim)
+        pair = 2.0 * np.sum(np.sort(ensemble, axis=0) * (2 * k - n + 1), axis=0)
+    return float(np.mean(term1 - pair / (2.0 * n * n)))
+
+
+STEPS = BLOCK_ROWS // 16  # time steps in one block of a 16-member ensemble
+
+
+@pytest.mark.parametrize("form", ["printed", "abs"])
+@pytest.mark.parametrize("shape", [
+    (), (1,), (5,), (STEPS + 1,), (2 * STEPS + 1,), (3 * STEPS + 7,),
+    (5, 3), (2 * STEPS + 1, 1), (2 * STEPS + 1, 3), (3 * STEPS + 7, 4),
+])
+def test_crps_blocks_are_bit_identical_to_one_pass(form, shape):
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    # unit spread about 1e6: the pair sums cancel to a few digits, so a sum
+    # over the members in any other order changes the score
+    ensemble = 1e6 + rng.standard_normal((16,) + shape)
+    truth = np.asarray(1e6 + rng.standard_normal(shape))
+    assert (crps(ensemble, truth, form=form).hex()
+            == one_shot_crps(ensemble, truth, form).hex())
+
+
+@pytest.mark.parametrize("n_t", [0, 1, 2, 3, 127, 128, 129, 130, 300])
+@pytest.mark.parametrize("n", [2, 16, 64, BLOCK_ROWS + 1])
+def test_time_blocks_cover_the_steps_with_no_lone_step(n_t, n):
+    blocks = time_blocks(n_t, n)
+    steps = [t for s in blocks for t in range(n_t)[s]]
+    assert steps == list(range(n_t))
+    assert all(s.stop - s.start >= 2 for s in blocks) or n_t == 1
+    assert all(s.stop - s.start <= max(2, BLOCK_ROWS // n) + 1 for s in blocks)
 
 
 # -------------------------------------------------------------------- Pearson

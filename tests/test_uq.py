@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from romuq.datagen import Grid, NormStats, ParamPoint, Trajectory
+from romuq.metrics import BLOCK_ROWS, crps
 from romuq.training import ModelCheckpoint, TrainConfig, train
 from romuq.transformer import LatentTransformer, TransformerConfig
 from romuq.uq import (UncertaintyField, aggregate_param, aggregate_time,
@@ -11,9 +14,9 @@ from romuq.vae import Vae, VaeConfig
 from romuq.training import LossWeights
 
 
-def make_checkpoint(seed=0, state_dim=8, latent_dim=2):
+def make_checkpoint(seed=0, state_dim=8, latent_dim=2, hidden=(12,)):
     cfg = TrainConfig(
-        vae=VaeConfig(state_dim=state_dim, latent_dim=latent_dim, hidden=(12,),
+        vae=VaeConfig(state_dim=state_dim, latent_dim=latent_dim, hidden=hidden,
                       param_dim=1, embed_dim=3),
         transformer=TransformerConfig(lookback=3, horizon=3,
                                       latent_dim=latent_dim, width=8, heads=2,
@@ -167,6 +170,65 @@ def test_second_pass_rejects_tiny_ensemble():
     ckpt = make_checkpoint()
     with pytest.raises(ValueError):
         second_pass(np.zeros((3, 8)), ckpt, XI, n=1)
+
+
+# ------------------------------------------------- second_pass in time blocks
+
+
+def one_shot_second_pass(states, ckpt, n, seed):
+    """The second pass as one decode over all n * n_t rows: the reference
+    the blocked second_pass must match bit for bit."""
+    n_t, n_xy = states.shape
+    z_dim = ckpt.config.vae.latent_dim
+    dist = ckpt.vae.encode(ckpt.stats.forward(states), XI)
+    z = dist.mu.data[None] + dist.sigma()[None] * ensemble_noise(seed, n, n_t, z_dim)
+    decoded = ckpt.vae.decode(z.reshape(n * n_t, z_dim), XI).data
+    ensemble = ckpt.stats.inverse(decoded).reshape(n, n_t, n_xy)
+    mean = ensemble.mean(axis=0)
+    return np.sqrt(np.mean((ensemble - mean[None]) ** 2, axis=0)), ensemble
+
+
+STEPS = BLOCK_ROWS // 8  # time steps in one block of an 8-member ensemble
+
+
+@pytest.mark.parametrize("n,n_t,blocks,wide", [
+    (8, 5, 1, False),                 # below one block
+    (8, STEPS, 1, False),             # exactly one block
+    (8, 2 * STEPS + 37, 3, False),    # several blocks and a remainder
+    (8, 2 * STEPS + 1, 2, False),     # a one-step remainder joins the last block
+    (BLOCK_ROWS + 3, 5, 2, False),    # n above the row budget: two steps a block
+    (64, 3 * BLOCK_ROWS // 64 + 5, 4, True),  # ks_cli's model widths
+])
+def test_second_pass_blocks_are_bit_identical_to_one_decode(monkeypatch, n, n_t,
+                                                            blocks, wide):
+    ckpt = (make_checkpoint(seed=11, state_dim=64, latent_dim=8, hidden=(128,))
+            if wide else make_checkpoint(seed=11))
+    states = np.random.default_rng(12).standard_normal((n_t, ckpt.config.vae.state_dim))
+    nu, ref = one_shot_second_pass(states, ckpt, n, 4)
+    decode, rows = ckpt.vae.decode, []
+    monkeypatch.setattr(ckpt.vae, "decode", lambda z, xi: rows.append(len(z)) or decode(z, xi))
+    field, ensemble = second_pass(states, ckpt, XI, n=n, seed=4)
+    assert len(rows) == blocks and sum(rows) == n * n_t
+    assert ensemble.tobytes() == ref.tobytes()
+    assert field.nu.tobytes() == nu.tobytes()
+
+
+def test_second_pass_and_crps_hold_the_ensemble_plus_a_bounded_block():
+    # 16 members x 1,024 steps: one decode of all 16,384 rows makes 8 MB
+    # hidden temporaries, 8x those of a 2,048-row block
+    n, n_t = 16, 1024
+    ckpt = make_checkpoint(seed=13, state_dim=16, hidden=(64,))
+    states = np.random.default_rng(14).standard_normal((n_t, 16))
+    ensemble_noise(0, n, n_t, 2)  # drawn untraced; second_pass copies its rows
+    tracemalloc.start()
+    try:
+        _, ensemble = second_pass(states, ckpt, XI, n=n, seed=0)
+        for form in ("printed", "abs"):
+            crps(ensemble, states, form=form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ensemble.nbytes + 6 * 2**20, peak
 
 
 # --------------------------------------------------------------- aggregations
