@@ -60,14 +60,18 @@ class AttentionBlock:
     def _heads_split(self, x: Tensor, batch: int, length: int,
                      axes=(0, 2, 1, 3)) -> Tensor:
         """``(B, L, width)`` to ``(B, H, L, dh)``, or the ``axes`` order of
-        ``(B, L, H, dh)``."""
+        ``(B, L, H, dh)``. A length-1 axis moves by a reshape alone."""
         c = self.config
-        dh = c.width // c.heads
-        return T.transpose(T.reshape(x, (batch, length, c.heads, dh)), axes)
+        shape = (batch, length, c.heads, c.width // c.heads)
+        if length == 1:
+            return T.reshape(x, tuple(shape[a] for a in axes))
+        return T.transpose(T.reshape(x, shape), axes)
 
     def _heads_join(self, x: Tensor, batch: int, length: int) -> Tensor:
         c = self.config
-        return T.reshape(T.transpose(x, (0, 2, 1, 3)), (batch, length, c.width))
+        if length > 1:
+            x = T.transpose(x, (0, 2, 1, 3))
+        return T.reshape(x, (batch, length, c.width))
 
     def _attend(self, q_in, kv_in, mask):
         """Multi-head self-attention of ``q_in`` over the window ``kv_in``."""
@@ -85,20 +89,25 @@ class AttentionBlock:
         ctx = self._heads_join(T.matmul(weights, v), batch, q_len)
         return T.linear(ctx, self.wo)
 
-    def __call__(self, x: Tensor, xi_tokens: Tensor, last_only: bool = False) -> Tensor:
+    def condition(self, xi_tokens: Tensor) -> Tensor:
+        """The cross-attention output, ``(B, 1, width)``: a softmax over the
+        one parameter token is exactly 1, so it is that token's value and
+        output projections, the same at every position."""
+        if xi_tokens.shape[1] != 1:
+            raise T.ShapeError("attention_block", xi_tokens.shape, (1,))
+        return T.linear(T.linear(xi_tokens, self.cv), self.co)
+
+    def __call__(self, x: Tensor, cond: Tensor, last_only: bool = False) -> Tensor:
         """The block's output at every window position, or with
         ``last_only`` at the last one, whose keys and values still span the
-        window (its causal-mask row is all zeros, so no mask is added)."""
+        window (its causal-mask row is all zeros, so no mask is added).
+        ``cond`` is the block's :meth:`condition` output."""
         q = self.config.lookback
         if x.shape[1] != q:
             raise T.ShapeError("attention_block", x.shape, (q,))
-        if xi_tokens.shape[1] != 1:
-            raise T.ShapeError("attention_block", xi_tokens.shape, (1,))
         rows, mask = (T.slice_axis(x, 1, q - 1, q), None) if last_only else (x, self.mask)
         x = T.layer_norm(T.add(rows, self._attend(rows, x, mask)), *self.ln1)
-        # a softmax over the one parameter token is exactly 1, so cross-attention
-        # is that token's value and output projections at every position
-        x = T.layer_norm(T.add(x, T.linear(T.linear(xi_tokens, self.cv), self.co)), *self.ln2)
+        x = T.layer_norm(T.add(x, cond), *self.ln2)
         h = T.linear(T.gelu(T.linear(x, self.ff1)), self.ff2)
         return T.layer_norm(T.add(x, h), *self.ln3)
 
@@ -119,8 +128,18 @@ class LatentTransformer:
     def named_parameters(self):
         return list(self.params.named)
 
-    def forecast(self, window: Union[np.ndarray, Tensor], xi) -> Tensor:
-        """Predict the next ``horizon`` latent vectors, shape (B, h, Z)."""
+    def condition(self, xi, batch: int) -> list:
+        """Each block's cross-attention output for the parameters ``xi``.
+        It depends on the weights, so it is rebuilt per call, never kept."""
+        c = self.config
+        xi_tokens = T.reshape(T.linear(param_rows(xi, batch, c.param_dim), self.xi_proj),
+                              (batch, 1, c.width))
+        return [block.condition(xi_tokens) for block in self.blocks]
+
+    def forecast(self, window: Union[np.ndarray, Tensor], xi, cond=None) -> Tensor:
+        """Predict the next ``horizon`` latent vectors, shape (B, h, Z).
+        ``cond`` is :meth:`condition` of ``xi`` at this batch, built here
+        when not given."""
         c = self.config
         x = window if isinstance(window, Tensor) else Tensor(np.asarray(window))
         if x.data.ndim == 2:
@@ -130,12 +149,12 @@ class LatentTransformer:
         self.forward_count += 1
         batch = x.shape[0]
         h = T.add(T.linear(x, self.in_proj), self.pos)
-        xi_tokens = T.reshape(T.linear(param_rows(xi, batch, c.param_dim), self.xi_proj),
-                              (batch, 1, c.width))
-        for block in self.blocks[:-1]:
-            h = block(h, xi_tokens)
+        if cond is None:
+            cond = self.condition(xi, batch)
+        for block, block_cond in zip(self.blocks[:-1], cond):
+            h = block(h, block_cond)
         # only the last position feeds the head, so the final block computes no other
-        last = self.blocks[-1](h, xi_tokens, last_only=True)
+        last = self.blocks[-1](h, cond[-1], last_only=True)
         out = T.linear(T.reshape(last, (batch, c.width)), self.out_head)
         return T.reshape(out, (batch, c.horizon, c.latent_dim))
 
@@ -151,25 +170,29 @@ def rollout(model: LatentTransformer, initial_window: np.ndarray, xi,
             steps: int) -> np.ndarray:
     """Autoregressive latent trajectory of length ``steps``.
 
-    Consumes one predicted step per forecast and slides the window; the
-    encoder is never re-invoked. A forecast the tape finds non-finite, or a
-    latent above 1e6 in magnitude, raises RolloutDivergence for that step.
+    Consumes one predicted step per forecast and slides the window, a view
+    of one buffer that the predictions fill; the encoder is never re-invoked
+    and the conditioning is built once. A forecast (or conditioning) the
+    tape finds non-finite, or a latent above 1e6 in magnitude, raises
+    RolloutDivergence for that step.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     c = model.config
-    window = np.asarray(initial_window, dtype=np.float64).copy()
-    if window.shape != (c.lookback, c.latent_dim):
-        raise T.ShapeError("rollout", window.shape, (c.lookback, c.latent_dim))
-    out = np.empty((steps, c.latent_dim))
-    for step in range(steps):
-        try:
-            pred = model.forecast(window[None, :, :], xi).data[0]
-        except T.NonFiniteError as exc:
-            raise RolloutDivergence(step, f"non-finite output of {exc.op}") from exc
-        nxt = pred[0]
-        if np.max(np.abs(nxt)) > 1e6:
-            raise RolloutDivergence(step, "latent magnitude above 1e6")
-        out[step] = nxt
-        window = np.concatenate([window[1:], nxt[None, :]], axis=0)
-    return out
+    q = c.lookback
+    initial_window = np.asarray(initial_window, dtype=np.float64)
+    if initial_window.shape != (q, c.latent_dim):
+        raise T.ShapeError("rollout", initial_window.shape, (q, c.latent_dim))
+    buf = np.empty((q + steps, c.latent_dim))
+    buf[:q] = initial_window
+    step = 0
+    try:
+        cond = model.condition(xi, 1)
+        for step in range(steps):
+            nxt = model.forecast(buf[None, step:step + q], xi, cond).data[0, 0]
+            if np.max(np.abs(nxt)) > 1e6:
+                raise RolloutDivergence(step, "latent magnitude above 1e6")
+            buf[q + step] = nxt
+    except T.NonFiniteError as exc:
+        raise RolloutDivergence(step, f"non-finite output of {exc.op}") from exc
+    return buf[q:]

@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from romuq import tensor as T
 from romuq.optim import Adam
 from romuq.tensor import Tape, Tensor, backward
-from romuq.transformer import (LatentTransformer, RolloutDivergence,
+from romuq.transformer import (AttentionBlock, LatentTransformer, RolloutDivergence,
                                TransformerConfig, rollout, sinusoidal_encoding)
 
 
@@ -28,12 +30,12 @@ def test_block_causality():
     block = model.blocks[0]
     rng = np.random.default_rng(3)
     x = rng.standard_normal((1, 6, 16))
-    xi_tokens = Tensor(rng.standard_normal((1, 1, 16)))
-    base = block(Tensor(x), xi_tokens).data
+    cond = block.condition(Tensor(rng.standard_normal((1, 1, 16))))
+    base = block(Tensor(x), cond).data
     for j in range(1, 6):
         xp = x.copy()
         xp[0, j] += 1.0
-        out = block(Tensor(xp), xi_tokens).data
+        out = block(Tensor(xp), cond).data
         # positions strictly before the perturbed token are unchanged
         np.testing.assert_array_equal(out[0, :j], base[0, :j])
         assert np.max(np.abs(out[0, j:] - base[0, j:])) > 0
@@ -41,16 +43,17 @@ def test_block_causality():
 
 def test_block_refuses_window_other_than_lookback():
     model = make_model(lookback=6)
-    xi_tokens = Tensor(np.zeros((1, 1, 16)))
+    cond = model.blocks[0].condition(Tensor(np.zeros((1, 1, 16))))
     for length in (1, 5, 7):
         with pytest.raises(T.ShapeError, match="attention_block"):
-            model.blocks[0](Tensor(np.zeros((1, length, 16))), xi_tokens)
+            model.blocks[0](Tensor(np.zeros((1, length, 16))), cond)
 
 
 def test_block_refuses_more_than_one_parameter_token():
     model = make_model(lookback=6)
+    block = model.blocks[0]
     with pytest.raises(T.ShapeError, match="attention_block"):
-        model.blocks[0](Tensor(np.zeros((1, 6, 16))), Tensor(np.zeros((1, 2, 16))))
+        block(Tensor(np.zeros((1, 6, 16))), block.condition(Tensor(np.zeros((1, 2, 16)))))
 
 
 def test_block_zero_value_projection_reduces_to_feedforward_path():
@@ -62,7 +65,7 @@ def test_block_zero_value_projection_reduces_to_feedforward_path():
     rng = np.random.default_rng(4)
     x = Tensor(rng.standard_normal((1, 6, 16)))
     xi_tokens = Tensor(rng.standard_normal((1, 1, 16)))
-    out = block(x, xi_tokens).data
+    out = block(x, block.condition(xi_tokens)).data
 
     # with both value paths zeroed the output projections see zero context,
     # so only their biases enter the residual stream
@@ -95,7 +98,7 @@ def full_window_forecast(model, window, xi):
     h = T.add(T.linear(Tensor(window), model.in_proj), model.pos)
     xi_tokens = T.reshape(T.linear(Tensor(xi), model.xi_proj), (batch, 1, c.width))
     for block in model.blocks:
-        h = block(h, xi_tokens)
+        h = block(h, block.condition(xi_tokens))
     last = T.reshape(T.slice_axis(h, 1, c.lookback - 1, c.lookback), (batch, c.width))
     return T.reshape(T.linear(last, model.out_head), (batch, c.horizon, c.latent_dim))
 
@@ -271,6 +274,137 @@ def test_rollout_non_finite_forecast_raises_divergence_from_the_tape():
     assert err.value.step == 0
     assert isinstance(err.value.__cause__, T.NonFiniteError)
     assert err.value.__cause__.op in str(err.value)
+
+
+@pytest.mark.parametrize("blocks, weight", [
+    (1, "xi_proj.w"), (1, "block0.cross_v.w"), (1, "block0.cross_o.w"),
+    (2, "xi_proj.w"), (2, "block0.cross_v.w"), (2, "block0.cross_o.w"),
+    (2, "block1.cross_v.w"), (2, "block1.cross_o.w")])
+def test_rollout_non_finite_conditioning_raises_divergence_at_step_0(blocks, weight):
+    """The conditioning is built before the first step's forecast, still
+    inside the rollout's failure contract."""
+    model = make_model(blocks=blocks, param_dim=2)
+    dict(model.named_parameters())["transformer." + weight].data[:] = 1e300
+    with pytest.raises(RolloutDivergence) as err:
+        rollout(model, np.ones((6, 2)), np.array([1e10, -1e10]), steps=5)
+    assert err.value.step == 0
+    assert isinstance(err.value.__cause__, T.NonFiniteError)
+    assert f"non-finite output of {err.value.__cause__.op}" in str(err.value)
+
+
+def transposed_heads_split(block, x, batch, length, axes=(0, 2, 1, 3)):
+    c = block.config
+    return T.transpose(T.reshape(x, (batch, length, c.heads, c.width // c.heads)), axes)
+
+
+def transposed_heads_join(block, x, batch, length):
+    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (batch, length, block.config.width))
+
+
+def reference_rollout(model, window, xi, steps):
+    """The rollout as one full forecast(window, xi) per step, heads always
+    split and joined by a transpose, and the window rebuilt by
+    np.concatenate: the reference for the rollout's hoisted conditioning,
+    window view and single-query reshapes."""
+    with mock.patch.object(AttentionBlock, "_heads_split", transposed_heads_split), \
+            mock.patch.object(AttentionBlock, "_heads_join", transposed_heads_join):
+        window = np.asarray(window, dtype=np.float64).copy()
+        out = np.empty((steps, window.shape[1]))
+        for step in range(steps):
+            out[step] = model.forecast(window[None, :, :], xi).data[0, 0]
+            window = np.concatenate([window[1:], out[step][None, :]], axis=0)
+    return out
+
+
+# the transformer and VAE sizes of the hopf_adapt and ks_cli benchmark models
+MODEL_SIZES = {
+    "hopf_adapt": dict(state_dim=64, latent_dim=4, hidden=(64,), param=dict(mu=0.3, omega=1.0)),
+    "ks_cli": dict(state_dim=64, latent_dim=8, hidden=(128,), param=dict(nu=0.9)),
+}
+
+
+def sized_checkpoint(size, blocks, seed=0):
+    from romuq.datagen import NormStats
+    from romuq.training import ModelCheckpoint, TrainConfig
+    from romuq.vae import Vae, VaeConfig
+
+    s = MODEL_SIZES[size]
+    n_param = len(s["param"])
+    config = TrainConfig(
+        vae=VaeConfig(state_dim=s["state_dim"], latent_dim=s["latent_dim"],
+                      hidden=s["hidden"], param_dim=n_param, embed_dim=8),
+        transformer=TransformerConfig(lookback=10, horizon=10, latent_dim=s["latent_dim"],
+                                      width=64, heads=4, blocks=blocks, param_dim=n_param))
+    rng = np.random.default_rng(seed)
+    vae = Vae(config.vae, rng)
+    model = LatentTransformer(config.transformer, rng)
+    for _, p in model.named_parameters():  # biases and norms off their init too
+        p.data += 0.1 * rng.standard_normal(p.shape)
+    stats = NormStats(mean=rng.standard_normal(s["state_dim"]),
+                      std=rng.uniform(0.5, 2.0, s["state_dim"]),
+                      floored=np.zeros(s["state_dim"], dtype=bool))
+    return ModelCheckpoint(vae=vae, transformer=model, config=config, stats=stats,
+                           seed=seed)
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("size", sorted(MODEL_SIZES))
+def test_rollout_and_predict_rollout_bit_identical_to_full_forecast_loop(size, blocks):
+    from romuq.datagen import ParamPoint
+    from romuq.training import predict_rollout
+
+    ckpt = sized_checkpoint(size, blocks)
+    model, point = ckpt.transformer, ParamPoint.of(**MODEL_SIZES[size]["param"])
+    rng = np.random.default_rng(12)
+    window = rng.standard_normal((10, model.config.latent_dim))
+    want = reference_rollout(model, window, point, 40)
+    assert rollout(model, window, point, 40).tobytes() == want.tobytes()
+
+    states = rng.standard_normal((10, ckpt.config.vae.state_dim))
+    pred, z = predict_rollout(ckpt, states, point, 40)
+    mu = ckpt.vae.encode(ckpt.stats.forward(states), point).mu.data
+    z_want = reference_rollout(model, mu, point, 40)
+    pred_want = ckpt.stats.inverse(ckpt.vae.decode(z_want, point).data)
+    assert z.tobytes() == z_want.tobytes()
+    assert pred.tobytes() == pred_want.tobytes()
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_rollout_conditions_once_and_never_reuses_stale_weights(blocks):
+    ckpt = sized_checkpoint("hopf_adapt", blocks)
+    model = ckpt.transformer
+    xi = np.array([0.3, 1.0])
+    window = np.random.default_rng(13).standard_normal((10, 4))
+    calls = []
+
+    def counted_rollout():
+        before = model.forward_count
+        with mock.patch.object(model, "condition",
+                               side_effect=model.condition) as condition:
+            out = rollout(model, window, xi, 7)
+        calls.append((condition.call_count, model.forward_count - before))
+        return out
+
+    first = counted_rollout()
+    named = dict(model.named_parameters())
+    for weight in ("xi_proj.w", f"block{blocks - 1}.cross_v.w", "block0.cross_o.w"):
+        named["transformer." + weight].data *= 1.5  # in place, as retrain updates
+        again = counted_rollout()
+        assert again.tobytes() == reference_rollout(model, window, xi, 7).tobytes()
+        assert again.tobytes() != first.tobytes()
+        first = again
+    assert calls == [(1, 7)] * 4
+
+
+@pytest.mark.parametrize("axes", [(0, 2, 1, 3), (0, 2, 3, 1)])
+def test_single_position_heads_reshape_equals_transpose(axes):
+    block = make_model(width=16, heads=4).blocks[0]
+    x = Tensor(np.random.default_rng(14).standard_normal((3, 1, 16)))
+    split = block._heads_split(x, 3, 1, axes)
+    assert split.data.tobytes() == transposed_heads_split(block, x, 3, 1, axes).data.tobytes()
+    heads = Tensor(np.random.default_rng(15).standard_normal((3, 4, 1, 4)))
+    assert (block._heads_join(heads, 3, 1).data.tobytes()
+            == transposed_heads_join(block, heads, 3, 1).data.tobytes())
 
 
 def test_forward_count_probe():
