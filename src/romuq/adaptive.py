@@ -9,15 +9,14 @@ selection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .datagen import ParamPoint, Trajectory
-from .metrics import ZeroVarianceError, pearson, scaled_mse, write_csv
+from .datagen import ParamPoint, Trajectory, json_object, write_json
+from .metrics import ZeroVarianceError, pearson, scaled_mse, write_param_csv
 from .training import ModelCheckpoint, predict_rollout, retrain
 from .uq import aggregate_param, check_ensemble_size, second_pass
 
@@ -42,14 +41,12 @@ class AdaptiveState:
                    history=d["history"])
 
     def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "AdaptiveState":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        with json_object(path) as d:
+            return cls.from_dict(d)
 
 
 def select_next(nu_grid: Sequence, trained_set: Sequence[ParamPoint]) -> ParamPoint:
@@ -84,13 +81,6 @@ def evaluate_grid(ckpt: ModelCheckpoint, truths: dict, grid, ensemble_n: int,
     return nu_list, mse_list, preds
 
 
-def _write_iter_csvs(out_dir: Path, iteration: int, grid, nu_list, mse_list):
-    names = grid[0].names()
-    for suffix, column, values in (("nu", "nu_xi", nu_list), ("mse", "scaled_mse", mse_list)):
-        write_csv(out_dir / f"iter{iteration}_{suffix}.csv", names + (column,),
-                  [(*p.vector(), v) for p, v in zip(grid, values)])
-
-
 def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory],
              grid: Sequence[ParamPoint], budget: int, threshold: float,
              initial_data: Sequence[Trajectory], retrain_epochs: int = 40,
@@ -98,7 +88,8 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
              seed: int = 0, out_dir=None):
     """Adaptive sampling loop; returns (AdaptiveState, final checkpoint).
 
-    ``generator`` supplies ground-truth trajectories on demand. Stops when
+    ``generator`` supplies ground-truth trajectories on demand; one whose
+    ``param`` is not the requested point raises ValueError. Stops when
     the maximum uncertainty over untrained points falls below ``threshold``
     or after ``budget`` iterations.
     """
@@ -120,11 +111,15 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
     def fetch(point):
         if point not in truths:
             try:
-                truths[point] = generator(point)
+                traj = generator(point)
+                if traj.param != point:
+                    raise ValueError(f"the generator returned a trajectory at "
+                                     f"{traj.param.as_dict()} for {point.as_dict()}")
             except Exception:
                 if out_path is not None:
                     state.save(out_path / "adaptive_history.json")
                 raise
+            truths[point] = traj
         return truths[point]
 
     for iteration in range(budget + 1):
@@ -147,7 +142,8 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
             "chosen": None,
         }
         if out_path is not None:
-            _write_iter_csvs(out_path, iteration, grid, nu_list, mse_list)
+            write_param_csv(out_path / f"iter{iteration}_nu.csv", grid, nu_xi=nu_list)
+            write_param_csv(out_path / f"iter{iteration}_mse.csv", grid, scaled_mse=mse_list)
 
         converged = not untrained or max(v for _, v in untrained) < threshold
         if converged or iteration == budget:

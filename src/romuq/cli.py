@@ -3,7 +3,6 @@ adapt, report. Figure data is emitted as plot-ready CSV, not images."""
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -13,15 +12,14 @@ import numpy as np
 from .adaptive import run_loop
 from .config import ConfigError, RunConfig, write_resolved
 from .datagen import (ParamPoint, SolverError, Trajectory, read_trajectory,
-                      solve_hopf_surrogate, solve_ks, split_even_odd,
+                      solve_hopf_surrogate, solve_ks, split_even_odd, write_json,
                       write_trajectory)
-from .metrics import (MetricReport, crps, kinetic_energy, relative_mse, scaled_mse,
-                      write_csv)
+from .metrics import (crps, kinetic_energy, relative_mse, scaled_mse, write_csv,
+                      write_param_csv)
 from .tensor import NonFiniteError
 from .training import ModelCheckpoint, TrainingDiverged, predict_rollout, train
 from .transformer import RolloutDivergence
-from .uq import (aggregate_param, check_ensemble_size, second_pass,
-                 write_nu_xi_csv, write_uq_csvs)
+from .uq import aggregate_param, check_ensemble_size, second_pass, write_uq_csvs
 
 # Every failure a command reports instead of a traceback: the first entry
 # whose exception types match gives the exit code and the message prefix.
@@ -71,19 +69,22 @@ def _parse_sweep(sweep: str):
     return name.strip(), [float(v) for v in values]
 
 
-def _generate_one(config: RunConfig, case: str, name: str, value: float,
-                  seed: int) -> Trajectory:
+def _generate_one(config: RunConfig, case: str, params: dict, seed: int) -> Trajectory:
+    """Solve ``case`` at every value of ``params``: KS at ``nu`` (or its
+    trajectory name ``ks_nu``), Hopf at ``mu`` and ``omega``, the latter
+    ``datagen.omega`` when ``params`` lacks it."""
     dg = config.datagen
+    names = sorted(params)
     if case == "ks":
-        if name not in ("nu", "ks_nu"):
-            raise ValueError(f"ks sweeps over 'nu', got {name!r}")
-        return solve_ks(nu=value, n_x=dg.n_x, domain_length=dg.domain_length,
+        if names not in (["nu"], ["ks_nu"]):
+            raise ValueError(f"the ks solver takes 'nu', got {names}")
+        return solve_ks(nu=params[names[0]], n_x=dg.n_x, domain_length=dg.domain_length,
                         dt=dg.dt, n_t=dg.n_t, seed=seed, init_scale=dg.init_scale)
     if case == "hopf":
-        if name != "mu":
-            raise ValueError(f"hopf sweeps over 'mu', got {name!r}")
-        return solve_hopf_surrogate(mu=value, omega=dg.omega, n_x=dg.n_x,
-                                    dt=dg.dt, n_t=dg.n_t,
+        if names not in (["mu"], ["mu", "omega"]):
+            raise ValueError(f"the hopf solver takes 'mu' and 'omega', got {names}")
+        return solve_hopf_surrogate(mu=params["mu"], omega=params.get("omega", dg.omega),
+                                    n_x=dg.n_x, dt=dg.dt, n_t=dg.n_t,
                                     init_amplitude=dg.init_amplitude)
     raise ValueError(f"unknown case {case!r}")
 
@@ -95,14 +96,21 @@ def _load_dataset(data_dir: Path):
     return [read_trajectory(f) for f in files]
 
 
-def _grid(config: RunConfig) -> list:
+def _grid(config: RunConfig, names: tuple) -> list:
+    """The adaptive grid, whose every point names exactly ``names``, the
+    parameters of the initial data."""
     if len(config.adaptive.grid) < 2:
         raise ConfigError(f"adaptive.grid needs at least two points, "
                           f"got {len(config.adaptive.grid)}")
     try:
-        return [ParamPoint.of(**g) for g in config.adaptive.grid]
+        grid = [ParamPoint.of(**g) for g in config.adaptive.grid]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad adaptive.grid entry: {exc}") from exc
+    for point in grid:
+        if point.names() != names:
+            raise ConfigError(f"adaptive.grid point {point.as_dict()} does not name "
+                              f"the initial data's parameters {list(names)}")
+    return grid
 
 
 @click.group(cls=_Cli)
@@ -127,14 +135,12 @@ def generate(config_path, case, sweep, seed, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     files = []
     for value in values:
-        traj = _generate_one(config, case, name, value, seed)
+        traj = _generate_one(config, case, {name: value}, seed)
         fname = f"{case}_{name}{value:g}.updr"
         write_trajectory(out / fname, traj)
         files.append(fname)
-    with open(out / "manifest.json", "w") as f:
-        json.dump({"case": case, "sweep": {name: values}, "files": files,
-                   "seed": seed}, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out / "manifest.json",
+               {"case": case, "sweep": {name: values}, "files": files, "seed": seed})
     write_resolved(config, out)
     click.echo(f"wrote {len(files)} trajectories to {out}")
 
@@ -155,11 +161,10 @@ def cmd_train(config_path, data_dir, seed, out_dir):
     out = Path(out_dir)
     ckpt.save(out / "checkpoint")
     write_resolved(config, out)
-    with open(out / "train_summary.json", "w") as f:
-        json.dump({"final_loss": ckpt.loss_curve[-1],
-                   "final_loss_components": ckpt.lineage[-1]["loss_components"][-1],
-                   "epochs": len(ckpt.loss_curve)}, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out / "train_summary.json",
+               {"final_loss": ckpt.loss_curve[-1],
+                "final_loss_components": ckpt.lineage[-1]["loss_components"][-1],
+                "epochs": len(ckpt.loss_curve)})
     click.echo(f"checkpoint saved to {out / 'checkpoint'}")
 
 
@@ -190,9 +195,7 @@ def cmd_infer(ckpt_dir, data_file, out_dir):
                      Trajectory(states=predicted, dt=traj.dt, grid=traj.grid,
                                 param=traj.param))
     rel = relative_mse(predicted, truth)
-    with open(out / "metrics.json", "w") as f:
-        json.dump({"relative_mse_percent": rel}, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out / "metrics.json", {"relative_mse_percent": rel})
     click.echo(f"relative MSE {rel:.4f}% -> {out}")
 
 
@@ -212,13 +215,12 @@ def cmd_uq(ckpt_dir, data_file, ensemble_n, seed, out_dir):
                                   seed=seed)
     out = Path(out_dir)
     write_uq_csvs(out, field)
-    write_nu_xi_csv(out / "nu_xi.csv", [(traj.param, aggregate_param(field))])
-    report = MetricReport()
-    _, smse = scaled_mse(predicted, truth)
-    report.add(traj.param, relative_mse(predicted, truth),
-               crps(ensemble, truth, form="printed"),
-               crps(ensemble, truth, form="abs"), smse)
-    report.write_csv(out / "metrics.csv")
+    write_param_csv(out / "nu_xi.csv", [traj.param], nu_xi=[aggregate_param(field)])
+    write_param_csv(out / "metrics.csv", [traj.param],
+                    relative_mse_percent=[relative_mse(predicted, truth)],
+                    crps_printed=[crps(ensemble, truth, form="printed")],
+                    crps_abs=[crps(ensemble, truth, form="abs")],
+                    scaled_mse_mean=[scaled_mse(predicted, truth)[1]])
     click.echo(f"UQ tables written to {out}")
 
 
@@ -241,12 +243,10 @@ def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir)
         config.adaptive.threshold = threshold
     ckpt = ModelCheckpoint.load(ckpt_dir)
     initial = _load_dataset(Path(data_dir))
-    grid = _grid(config)
-    name = grid[0].names()[0]
+    grid = _grid(config, initial[0].param.names())
 
     def generator(point: ParamPoint) -> Trajectory:
-        return _generate_one(config, config.datagen.case, name,
-                             point[name], seed)
+        return _generate_one(config, config.datagen.case, point.as_dict(), seed)
 
     out = Path(out_dir)
     run_loop(ckpt, generator, grid, config.adaptive.budget,

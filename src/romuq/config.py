@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
+from .datagen import write_json
+
 
 class ConfigError(ValueError):
     pass
@@ -200,11 +202,6 @@ class RunConfig:
         """The settable keys, without the derived fields."""
         return _settable(self)
 
-    def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
-
     def train_config(self, state_dim: int, param_dim: int) -> TrainConfig:
         """The config of a fit on data of these dimensions."""
         t = self.training
@@ -218,4 +215,4 @@ class RunConfig:
 def write_resolved(config: RunConfig, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config.save(out_dir / "resolved_config.json")
+    write_json(out_dir / "resolved_config.json", config.to_dict())

@@ -305,8 +305,14 @@ def write_trajectory(path, traj: Trajectory):
         "params": {k: v for k, v in params},
         "grid": {"length": traj.grid.length, "n_points": traj.grid.n_points},
     }
-    with open(path.with_suffix(path.suffix + ".meta.json"), "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
+    write_json(path.with_suffix(path.suffix + ".meta.json"), meta)
+
+
+def write_json(path, obj):
+    """The layout of every JSON file the package writes: two-space indent,
+    sorted keys, a final newline."""
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 
 

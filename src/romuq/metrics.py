@@ -4,11 +4,7 @@ they are written to."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-from .datagen import ParamPoint
 
 SCALED_MSE_EPS = 1e-8
 
@@ -138,28 +134,13 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.clip(np.sum(xc * yc) / (sx * sy), -1.0, 1.0))
 
 
-@dataclass
-class MetricReport:
-    """Per-xi evaluation summary written to metrics.csv."""
-
-    entries: list = field(default_factory=list)
-
-    def add(self, point: ParamPoint, relative_mse_percent: float,
-            crps_printed: float, crps_abs: float, scaled_mse_mean: float):
-        self.entries.append({
-            "param": point,
-            "relative_mse_percent": relative_mse_percent,
-            "crps_printed": crps_printed,
-            "crps_abs": crps_abs,
-            "scaled_mse_mean": scaled_mse_mean,
-        })
-
-    def write_csv(self, path):
-        if not self.entries:
-            raise ValueError("empty report")
-        cols = ("relative_mse_percent", "crps_printed", "crps_abs", "scaled_mse_mean")
-        write_csv(path, self.entries[0]["param"].names() + cols,
-                  [(*e["param"].vector(), *(e[c] for c in cols)) for e in self.entries])
+def write_param_csv(path, points, **columns):
+    """Per-parameter table: the parameter columns of ``points``, then one
+    column per keyword, each holding one value per point."""
+    if not points:
+        raise ValueError("empty per-parameter table")
+    write_csv(path, points[0].names() + tuple(columns),
+              [(*p.vector(), *row) for p, *row in zip(points, *columns.values())])
 
 
 def write_csv(path, header, rows):

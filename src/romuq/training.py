@@ -3,7 +3,6 @@ and replay-based retraining."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -13,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import LossWeights, TrainConfig, parse
-from .datagen import NormStats, ParamPoint, Trajectory, json_object, normalize
+from .datagen import NormStats, ParamPoint, Trajectory, json_object, normalize, write_json
 from .optim import Adam
 from .tensor import NonFiniteError, Tape, Tensor
 from .transformer import LatentTransformer, rollout
@@ -98,26 +97,19 @@ class ModelCheckpoint:
     def save(self, directory):
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        names, shapes, blobs = [], [], []
-        for name, p in self.named_parameters():
-            names.append(name)
-            shapes.append(list(p.data.shape))
-            blobs.append(p.data.astype("<f8").tobytes())
-        manifest = {
+        named = self.named_parameters()
+        write_json(directory / "manifest.json", {
             "format_version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
             "stats": self.stats.to_dict(),
             "seed": self.seed,
             "lineage": self.lineage,
             "loss_curve": self.loss_curve,
-            "weights": [{"name": n, "shape": s} for n, s in zip(names, shapes)],
-        }
-        with open(directory / "manifest.json", "w") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
+            "weights": [{"name": n, "shape": list(p.data.shape)} for n, p in named],
+        })
         with open(directory / "weights.bin", "wb") as f:
-            for blob in blobs:
-                f.write(blob)
+            for _, p in named:
+                f.write(p.data.astype("<f8").tobytes())
 
     @classmethod
     def load(cls, directory) -> "ModelCheckpoint":
@@ -163,13 +155,14 @@ class ModelCheckpoint:
             return ckpt
 
 
-def extract_windows(traj: Trajectory, q: int, h: int):
-    """Start indices of all (lookback, target) windows in a trajectory."""
-    n = traj.n_t - q - h + 1
-    if n < 1:
-        raise ValueError(
-            f"trajectory too short for lookback {q} + horizon {h}: n_t={traj.n_t}")
-    return list(range(n))
+def extract_windows(trajs: Sequence[Trajectory], q: int, h: int):
+    """The (trajectory, start) index of every (lookback, target) window in
+    ``trajs``; a trajectory too short for one window raises ValueError."""
+    for traj in trajs:
+        if traj.n_t - q - h + 1 < 1:
+            raise ValueError(
+                f"trajectory too short for lookback {q} + horizon {h}: n_t={traj.n_t}")
+    return [(ti, s) for ti, traj in enumerate(trajs) for s in range(traj.n_t - q - h + 1)]
 
 
 def _gather_batch(trajs, window_index, batch_ids, q, h):
@@ -224,19 +217,14 @@ def train(dataset: Sequence[Trajectory], config: TrainConfig, seed: int,
     """Joint Adam optimisation over shuffled windows; deterministic per seed."""
     if not dataset:
         raise ValueError("empty dataset")
-    q, h = config.transformer.lookback, config.transformer.horizon
-    for traj in dataset:
-        extract_windows(traj, q, h)  # validates length
-
+    window_index = extract_windows(dataset, config.transformer.lookback,
+                                   config.transformer.horizon)
     trajs_norm, stats = normalize(list(dataset))
     rng = np.random.default_rng(seed)
     vae = Vae(config.vae, rng)
     transformer = LatentTransformer(config.transformer, rng)
     ckpt = ModelCheckpoint(vae=vae, transformer=transformer, config=config,
                            stats=stats, seed=seed)
-
-    window_index = [(ti, s) for ti, traj in enumerate(trajs_norm)
-                    for s in extract_windows(traj, q, h)]
     _run_epochs(ckpt, trajs_norm, window_index, config.epochs, rng, dataset_id)
     return ckpt
 
@@ -250,18 +238,13 @@ def retrain(ckpt: ModelCheckpoint, new_data: Sequence[Trajectory],
     if not 0.0 <= replay_fraction <= 1.0:
         raise ValueError("replay_fraction must lie in [0, 1]")
     cfg = ckpt.config
-    q, h = cfg.transformer.lookback, cfg.transformer.horizon
     rng = np.random.default_rng(seed)
 
-    new_norm = [Trajectory(states=ckpt.stats.forward(t.states), dt=t.dt,
-                           grid=t.grid, param=t.param) for t in new_data]
-    prior_norm = [Trajectory(states=ckpt.stats.forward(t.states), dt=t.dt,
-                             grid=t.grid, param=t.param) for t in prior_data]
-    trajs = new_norm + prior_norm
-    window_index = [(ti, s) for ti in range(len(new_norm))
-                    for s in extract_windows(trajs[ti], q, h)]
-    prior_windows = [(ti + len(new_norm), s) for ti in range(len(prior_norm))
-                     for s in extract_windows(prior_norm[ti], q, h)]
+    trajs = [Trajectory(states=ckpt.stats.forward(t.states), dt=t.dt,
+                        grid=t.grid, param=t.param) for t in [*new_data, *prior_data]]
+    index = extract_windows(trajs, cfg.transformer.lookback, cfg.transformer.horizon)
+    window_index = [w for w in index if w[0] < len(new_data)]
+    prior_windows = [w for w in index if w[0] >= len(new_data)]
     n_replay = int(round(replay_fraction * len(prior_windows)))
     if n_replay > 0:
         chosen = rng.choice(len(prior_windows), size=n_replay, replace=False)

@@ -115,8 +115,3 @@ def write_uq_csvs(directory, field: UncertaintyField):
               ((t, d, v) for t, row in enumerate(field.nu.tolist()) for d, v in enumerate(row)))
     write_csv(directory / "nu_t.csv", ("t", "nu_t"), enumerate(aggregate_time(field)))
 
-
-def write_nu_xi_csv(path, rows):
-    """Per-xi scalar table; ``rows`` is a list of (ParamPoint, nu_xi)."""
-    names = rows[0][0].names() if rows else ()
-    write_csv(path, names + ("nu_xi",), [(*p.vector(), v) for p, v in rows])

@@ -132,6 +132,19 @@ def test_run_loop_saves_state_when_generator_fails(tmp_path, trained_pair):
     assert (tmp_path / "adaptive_history.json").exists()
 
 
+def test_run_loop_rejects_a_trajectory_at_another_point(tmp_path, trained_pair):
+    ckpt, initial = trained_pair
+
+    def elsewhere(point):  # solves at mu, ignoring the point's omega
+        return solve_hopf_surrogate(point["mu"], omega=1.0, n_x=16, n_t=24, dt=0.1)
+
+    with pytest.raises(ValueError, match="generator returned a trajectory at"):
+        run_loop(ckpt, elsewhere, [H(0.2), ParamPoint.of(mu=0.9, omega=2.0)],
+                 budget=1, threshold=0.0, initial_data=initial, ensemble_n=4,
+                 out_dir=tmp_path)
+    assert (tmp_path / "adaptive_history.json").exists()
+
+
 def test_run_loop_rejects_bad_budget(trained_pair):
     ckpt, initial = trained_pair
     with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from romuq.adaptive import evaluate_grid
 from romuq.cli import main
+from romuq.datagen import ParamPoint, solve_hopf_surrogate
 from romuq.training import ModelCheckpoint
 
 
@@ -373,6 +375,72 @@ def test_adapt_resolved_config_records_overrides(runner, tmp_path):
                               "--out", str(tmp_path / "again")])
     assert res.exit_code == 0, res.output
     assert (tmp_path / "again/resolved_config.json").read_bytes() == resolved.read_bytes()
+
+
+def test_adapt_grid_names_must_match_the_data_exit_3(runner, tmp_path):
+    # KS trajectories carry ``ks_nu``; a grid keyed ``nu`` never matches them
+    ks = dict(SMALL_CONFIG, datagen={"case": "ks", "n_x": 16, "n_t": 20},
+              adaptive={"budget": 1, "threshold": 0.0,
+                        "grid": [{"nu": 1.0}, {"nu": 1.1}]})
+    cfg = tmp_path / "ks.json"
+    cfg.write_text(json.dumps(ks))
+    res = runner.invoke(main, ["generate", "--config", str(cfg), "--sweep",
+                              "nu=0.9,1.0", "--out", str(tmp_path / "data")])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["train", "--config", str(cfg), "--data",
+                              str(tmp_path / "data"), "--out", str(tmp_path / "train")])
+    assert res.exit_code == 0, res.output
+    out = tmp_path / "adapt"
+    res = runner.invoke(main, ["adapt", "--config", str(cfg), "--checkpoint",
+                              str(tmp_path / "train/checkpoint"), "--data",
+                              str(tmp_path / "data"), "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "adaptive.grid" in res.output and "ks_nu" in res.output
+    assert not out.exists()
+
+
+def test_adapt_solves_at_every_grid_value(runner, tmp_path):
+    # omega 2.0 is not datagen.omega: the point must be solved at 2.0, or
+    # the loop refuses the trajectory the generator returns
+    data = run_generate(runner, tmp_path)
+    ckpt = run_train(runner, tmp_path, data)
+    cfg = tmp_path / "omega.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONFIG, adaptive={
+        "budget": 1, "threshold": 0.0,
+        "grid": [{"mu": 0.2, "omega": 2.0}, {"mu": 0.3, "omega": 1.0}]})))
+    res = runner.invoke(main, ["adapt", "--config", str(cfg), "--checkpoint",
+                              str(ckpt), "--data", str(data),
+                              "--out", str(tmp_path / "adapt")])
+    assert res.exit_code == 0, res.output
+    hist = json.loads((tmp_path / "adapt/adaptive_history.json").read_text())
+    assert hist["trained_set"][-1] == {"mu": 0.2, "omega": 2.0}
+    # the first sweep's error at the point is the one against omega 2.0
+    point = ParamPoint.of(mu=0.2, omega=2.0)
+    truth = solve_hopf_surrogate(0.2, omega=2.0, n_x=16, dt=0.1, n_t=40)
+    _, (mse,), _ = evaluate_grid(ModelCheckpoint.load(ckpt), {point: truth}, [point], 2, 0)
+    rows = (tmp_path / "adapt/iter0_mse.csv").read_text().split("\n")
+    assert rows[1] == f"0.2,2.0,{mse!r}"
+
+
+def test_every_json_file_has_one_layout(runner, tmp_path):
+    data = run_generate(runner, tmp_path)
+    ckpt = run_train(runner, tmp_path, data)
+    for args in (["infer", "--checkpoint", str(ckpt), "--data",
+                  str(data / "hopf_mu0.3.updr"), "--out", str(tmp_path / "infer")],
+                 ["adapt", "--config", str(tmp_path / "config.json"), "--checkpoint",
+                  str(ckpt), "--data", str(data), "--out", str(tmp_path / "adapt")]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+    written = sorted(p for d in ("data", "train", "infer", "adapt")
+                     for p in (tmp_path / d).rglob("*.json"))
+    assert {p.relative_to(tmp_path).as_posix() for p in written} >= {
+        "data/manifest.json", "data/hopf_mu0.3.updr.meta.json",
+        "data/resolved_config.json", "train/train_summary.json",
+        "train/checkpoint/manifest.json", "infer/metrics.json",
+        "adapt/adaptive_history.json", "adapt/checkpoint/manifest.json"}
+    for path in written:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
 
 
 def test_adapt_empty_grid_exit_code(runner, tmp_path):

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from romuq.datagen import ParamPoint
-from romuq.metrics import (BLOCK_ROWS, MetricReport, ZeroVarianceError, crps,
-                           kinetic_energy, pearson, relative_mse, scaled_mse,
-                           time_blocks)
+from romuq.metrics import (BLOCK_ROWS, ZeroVarianceError, crps, kinetic_energy,
+                           pearson, relative_mse, scaled_mse, time_blocks,
+                           write_param_csv)
 
 # ------------------------------------------------------------- kinetic energy
 
@@ -247,12 +247,11 @@ def test_pearson_clipped_to_unit_interval():
 
 
 def test_metric_report_csv(tmp_path):
-    report = MetricReport()
-    report.add(ParamPoint.of(nu=0.9), 1.5, 0.01, 0.02, 0.003)
-    report.write_csv(tmp_path / "metrics.csv")
+    write_param_csv(tmp_path / "metrics.csv", [ParamPoint.of(nu=0.9)],
+                    relative_mse_percent=[1.5], crps_printed=[0.01], crps_abs=[0.02],
+                    scaled_mse_mean=[0.003])
     lines = (tmp_path / "metrics.csv").read_text().strip().split("\n")
     assert lines[0] == "nu,relative_mse_percent,crps_printed,crps_abs,scaled_mse_mean"
     assert lines[1] == "0.9,1.5,0.01,0.02,0.003"
-    empty = MetricReport()
     with pytest.raises(ValueError):
-        empty.write_csv(tmp_path / "empty.csv")
+        write_param_csv(tmp_path / "empty.csv", [], relative_mse_percent=[])

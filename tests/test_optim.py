@@ -1,26 +1,28 @@
 import numpy as np
 import pytest
 
-from romuq.optim import Adam, AdamState, adam_step
+from romuq.optim import Adam
 from romuq.tensor import ShapeError, Tensor
 
 
 def test_zero_grad_from_zero_state_leaves_params_unchanged():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    state = AdamState([p])
-    adam_step([p], [np.zeros(2)], state, lr=0.1)
+    opt = Adam([p], lr=0.1)
+    p.grad = np.zeros(2)
+    opt.step()
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
-    assert state.t == 1
+    assert opt.t == 1
 
 
 def test_zero_grad_decays_existing_moments():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    state = AdamState([p])
-    state.m[:] = [0.5, 0.5]
-    state.v[:] = [0.25, 0.25]
-    adam_step([p], [np.zeros(2)], state, lr=0.1)
-    np.testing.assert_allclose(state.m, 0.9 * 0.5)
-    np.testing.assert_allclose(state.v, 0.999 * 0.25)
+    opt = Adam([p], lr=0.1)
+    opt.m[:] = [0.5, 0.5]
+    opt.v[:] = [0.25, 0.25]
+    p.grad = np.zeros(2)
+    opt.step()
+    np.testing.assert_allclose(opt.m, 0.9 * 0.5)
+    np.testing.assert_allclose(opt.v, 0.999 * 0.25)
 
 
 def test_first_step_from_zero_state_matches_symbolic_expansion():
@@ -28,26 +30,35 @@ def test_first_step_from_zero_state_matches_symbolic_expansion():
     # update = -lr * g / (|g| + eps)
     g = np.array([0.3, -1.2, 4.0])
     p = Tensor(np.zeros(3), requires_grad=True)
-    state = AdamState([p])
     lr, eps = 1e-3, 1e-8
-    adam_step([p], [g.copy()], state, lr=lr, eps=eps)
+    opt = Adam([p], lr=lr, eps=eps)
+    p.grad = g.copy()
+    opt.step()
     expected = -lr * g / (np.abs(g) + eps)
     np.testing.assert_allclose(p.data, expected, rtol=1e-12)
-    assert state.t == 1
+    assert opt.t == 1
 
 
 def test_shape_mismatch_raises():
     p = Tensor(np.zeros(3), requires_grad=True)
-    state = AdamState([p])
+    opt = Adam([p])
+    p.grad = np.zeros(4)
     with pytest.raises(ShapeError):
-        adam_step([p], [np.zeros(4)], state)
-    with pytest.raises(ShapeError):  # a state built for other parameters
-        adam_step([Tensor(np.zeros(4))], [None], state)
-    with pytest.raises(ShapeError):
-        adam_step([p, p], [None, None], state)
-    with pytest.raises(ShapeError):
-        adam_step([p], [], state)
-    assert state.t == 0 and not p.data.any()
+        opt.step()
+    assert opt.t == 0 and not p.data.any()
+
+
+def test_resized_parameter_raises():
+    # a parameter whose array no longer fits the moments built for it
+    p = Tensor(np.zeros(3), requires_grad=True)
+    q = Tensor(np.zeros(2), requires_grad=True)
+    opt = Adam([p, q])
+    q.data = np.zeros(4)
+    for grad in (None, np.zeros(4)):
+        q.grad = grad
+        with pytest.raises(ShapeError):
+            opt.step()
+    assert opt.t == 0 and not p.data.any() and not q.data.any()
 
 
 def test_identical_runs_are_bit_identical():
@@ -104,10 +115,11 @@ def test_flat_update_is_byte_equal_to_the_per_parameter_loop():
 def test_parameter_without_gradient_is_unchanged_while_its_moments_are_zero():
     p = Tensor(np.array([1.5, -0.0, 0.0, 3e-300]), requires_grad=True)
     q = Tensor(np.ones(3), requires_grad=True)
-    state = AdamState([p, q])
+    opt = Adam([p, q], lr=0.1)
     before = p.data.tobytes()
     for _ in range(5):
-        adam_step([p, q], [None, np.full(3, 0.5)], state, lr=0.1)
+        p.grad, q.grad = None, np.full(3, 0.5)
+        opt.step()
     assert p.data.tobytes() == before
-    assert not state.m[:4].any() and not state.v[:4].any()
+    assert not opt.m[:4].any() and not opt.v[:4].any()
     assert (q.data < 1.0).all()

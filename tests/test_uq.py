@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from romuq.datagen import Grid, NormStats, ParamPoint, Trajectory
-from romuq.metrics import BLOCK_ROWS, crps
+from romuq.metrics import BLOCK_ROWS, crps, write_param_csv
 from romuq.training import ModelCheckpoint, TrainConfig, train
 from romuq.transformer import LatentTransformer, TransformerConfig
 from romuq.uq import (UncertaintyField, aggregate_param, aggregate_time,
                       confidence_interval, ensemble_noise, member_noise,
-                      second_pass, write_nu_xi_csv, write_uq_csvs)
+                      second_pass, write_uq_csvs)
 from romuq.vae import Vae, VaeConfig
 from romuq.training import LossWeights
 
@@ -286,8 +286,8 @@ def test_uq_csvs_deterministic_and_well_formed(tmp_path):
 
 
 def test_nu_xi_csv(tmp_path):
-    rows = [(ParamPoint.of(mu=0.1), 0.25), (ParamPoint.of(mu=0.2), 0.5)]
-    write_nu_xi_csv(tmp_path / "nu_xi.csv", rows)
+    write_param_csv(tmp_path / "nu_xi.csv", [ParamPoint.of(mu=0.1), ParamPoint.of(mu=0.2)],
+                    nu_xi=[0.25, 0.5])
     lines = (tmp_path / "nu_xi.csv").read_text().strip().split("\n")
     assert lines[0] == "mu,nu_xi"
     assert lines[1] == "0.1,0.25"
