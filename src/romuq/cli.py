@@ -1,5 +1,6 @@
 """Command-line surface for the pipeline: generate, train, infer, uq,
-adapt, report. Figure data is emitted as plot-ready CSV, not images."""
+adapt, report. Figure data is emitted as plot-ready CSV, not images; only
+the commands that run a model import the model stack and scipy under it."""
 
 from __future__ import annotations
 
@@ -9,17 +10,13 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .adaptive import run_loop
 from .config import ConfigError, RunConfig, write_resolved
 from .datagen import (ParamPoint, SolverError, Trajectory, read_trajectory,
                       solve_hopf_surrogate, solve_ks, split_even_odd, write_json,
                       write_trajectory)
+from .errors import NonFiniteError, RolloutDivergence, TrainingDiverged
 from .metrics import (crps, kinetic_energy, relative_mse, scaled_mse, write_csv,
                       write_param_csv)
-from .tensor import NonFiniteError
-from .training import ModelCheckpoint, TrainingDiverged, predict_rollout, train
-from .transformer import RolloutDivergence
-from .uq import aggregate_param, check_ensemble_size, second_pass, write_uq_csvs
 
 # Every failure a command reports instead of a traceback: the first entry
 # whose exception types match gives the exit code and the message prefix.
@@ -69,20 +66,23 @@ def _parse_sweep(sweep: str):
     return name.strip(), [float(v) for v in values]
 
 
+# The sorted parameter names each case's solver takes: KS's ``nu`` is named
+# ``ks_nu`` in a trajectory; Hopf's ``omega`` defaults to ``datagen.omega``.
+SOLVER_PARAMS = {"ks": (("nu",), ("ks_nu",)), "hopf": (("mu",), ("mu", "omega"))}
+
+
 def _generate_one(config: RunConfig, case: str, params: dict, seed: int) -> Trajectory:
-    """Solve ``case`` at every value of ``params``: KS at ``nu`` (or its
-    trajectory name ``ks_nu``), Hopf at ``mu`` and ``omega``, the latter
-    ``datagen.omega`` when ``params`` lacks it."""
+    """Solve ``case`` at every value of ``params``, named as SOLVER_PARAMS says."""
     dg = config.datagen
-    names = sorted(params)
+    names = tuple(sorted(params))
     if case == "ks":
-        if names not in (["nu"], ["ks_nu"]):
-            raise ValueError(f"the ks solver takes 'nu', got {names}")
+        if names not in SOLVER_PARAMS["ks"]:
+            raise ValueError(f"the ks solver takes 'nu', got {list(names)}")
         return solve_ks(nu=params[names[0]], n_x=dg.n_x, domain_length=dg.domain_length,
                         dt=dg.dt, n_t=dg.n_t, seed=seed, init_scale=dg.init_scale)
     if case == "hopf":
-        if names not in (["mu"], ["mu", "omega"]):
-            raise ValueError(f"the hopf solver takes 'mu' and 'omega', got {names}")
+        if names not in SOLVER_PARAMS["hopf"]:
+            raise ValueError(f"the hopf solver takes 'mu' and 'omega', got {list(names)}")
         return solve_hopf_surrogate(mu=params["mu"], omega=params.get("omega", dg.omega),
                                     n_x=dg.n_x, dt=dg.dt, n_t=dg.n_t,
                                     init_amplitude=dg.init_amplitude)
@@ -98,7 +98,10 @@ def _load_dataset(data_dir: Path):
 
 def _grid(config: RunConfig, names: tuple) -> list:
     """The adaptive grid, whose every point names exactly ``names``, the
-    parameters of the initial data."""
+    parameters of the initial data, which ``datagen.case``'s solver takes."""
+    if names not in SOLVER_PARAMS.get(config.datagen.case, ()):
+        raise ConfigError(f"datagen.case {config.datagen.case!r} cannot solve at the "
+                          f"initial data's parameters {list(names)}")
     if len(config.adaptive.grid) < 2:
         raise ConfigError(f"adaptive.grid needs at least two points, "
                           f"got {len(config.adaptive.grid)}")
@@ -131,6 +134,8 @@ def generate(config_path, case, sweep, seed, out_dir):
     seed = _resolve_seed(config, seed)
     case = config.datagen.case = case or config.datagen.case
     name, values = _parse_sweep(sweep)
+    if (case, name) == ("ks", "ks_nu"):  # both spellings write ks_nu<value>.updr
+        name = "nu"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -152,6 +157,7 @@ def generate(config_path, case, sweep, seed, out_dir):
 @click.option("--out", "out_dir", type=click.Path(), default="runs/train")
 def cmd_train(config_path, data_dir, seed, out_dir):
     """Train on the even-index split of every trajectory in --data."""
+    from .training import train
     config = _load_config(config_path)
     seed = _resolve_seed(config, seed)
     dataset = _load_dataset(Path(data_dir))
@@ -168,13 +174,17 @@ def cmd_train(config_path, data_dir, seed, out_dir):
     click.echo(f"checkpoint saved to {out / 'checkpoint'}")
 
 
-def _predict_for(ckpt: ModelCheckpoint, traj: Trajectory):
+def _predict_for(ckpt_dir, data_file):
+    """(checkpoint, trajectory, rollout past its lookback, the states forecast)"""
+    from .training import ModelCheckpoint, predict_rollout
+    ckpt = ModelCheckpoint.load(ckpt_dir)
+    traj = read_trajectory(data_file)
     q = ckpt.config.transformer.lookback
     steps = traj.n_t - q
     if steps < 1:
         raise ValueError(f"trajectory too short for lookback {q}")
     predicted, _ = predict_rollout(ckpt, traj.states[:q], traj.param, steps)
-    return predicted, traj.states[q:q + steps]
+    return ckpt, traj, predicted, traj.states[q:q + steps]
 
 
 @main.command("infer")
@@ -183,9 +193,7 @@ def _predict_for(ckpt: ModelCheckpoint, traj: Trajectory):
 @click.option("--out", "out_dir", type=click.Path(), default="runs/infer")
 def cmd_infer(ckpt_dir, data_file, out_dir):
     """Roll out at the trajectory's parameters; emit kinetic-energy CSV."""
-    ckpt = ModelCheckpoint.load(ckpt_dir)
-    traj = read_trajectory(data_file)
-    predicted, truth = _predict_for(ckpt, traj)
+    _, traj, predicted, truth = _predict_for(ckpt_dir, data_file)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     k_pred = kinetic_energy(predicted)
@@ -207,10 +215,9 @@ def cmd_infer(ckpt_dir, data_file, out_dir):
 @click.option("--out", "out_dir", type=click.Path(), default="runs/uq")
 def cmd_uq(ckpt_dir, data_file, ensemble_n, seed, out_dir):
     """Second-pass ensemble UQ over a rollout; emit nu CSV tables."""
+    from .uq import aggregate_param, check_ensemble_size, second_pass, write_uq_csvs
     check_ensemble_size(ensemble_n)
-    ckpt = ModelCheckpoint.load(ckpt_dir)
-    traj = read_trajectory(data_file)
-    predicted, truth = _predict_for(ckpt, traj)
+    ckpt, traj, predicted, truth = _predict_for(ckpt_dir, data_file)
     field, ensemble = second_pass(predicted, ckpt, traj.param, n=ensemble_n,
                                   seed=seed)
     out = Path(out_dir)
@@ -235,6 +242,8 @@ def cmd_uq(ckpt_dir, data_file, ensemble_n, seed, out_dir):
 @click.option("--out", "out_dir", type=click.Path(), default="runs/adapt")
 def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir):
     """Uncertainty-driven adaptive sampling over the configured grid."""
+    from .adaptive import run_loop
+    from .training import ModelCheckpoint
     config = _load_config(config_path)
     seed = _resolve_seed(config, seed)
     if budget is not None:

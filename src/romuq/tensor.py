@@ -14,6 +14,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import erf
 
+from .errors import NonFiniteError
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes do not conform for a primitive."""
@@ -22,15 +24,6 @@ class ShapeError(ValueError):
         super().__init__(f"{op}: incompatible shapes {' vs '.join(str(tuple(s)) for s in shapes)}")
         self.op = op
         self.shapes = shapes
-
-
-class NonFiniteError(FloatingPointError):
-    """Raised when a primitive produces a non-finite value."""
-
-    def __init__(self, op: str, op_index: int):
-        super().__init__(f"{op}: non-finite output at tape op index {op_index}")
-        self.op = op
-        self.op_index = op_index
 
 
 class Tensor:

@@ -13,24 +13,14 @@ import numpy as np
 from . import tensor as T
 from .config import LossWeights, TrainConfig, parse
 from .datagen import NormStats, ParamPoint, Trajectory, json_object, normalize, write_json
+from .errors import NonFiniteError, TrainingDiverged
 from .optim import Adam
-from .tensor import NonFiniteError, Tape, Tensor
+from .tensor import Tape, Tensor
 from .transformer import LatentTransformer, rollout
 from .vae import Vae, kld, reparameterize
 
 
 CHECKPOINT_VERSION = 1
-
-
-class TrainingDiverged(RuntimeError):
-    """A training step's forward pass made a non-finite value; raised from
-    the tape's NonFiniteError, whose op it names."""
-
-    def __init__(self, epoch: int, step: int, op: str):
-        super().__init__(f"training diverged at epoch {epoch}, step {step}: "
-                         f"non-finite output of {op}")
-        self.epoch = epoch
-        self.step = step
 
 
 def total_loss(vae: Vae, transformer: LatentTransformer,

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import TransformerConfig
+from .errors import RolloutDivergence
 from .tensor import Tensor
 from .vae import param_rows
 
@@ -157,12 +158,6 @@ class LatentTransformer:
         last = self.blocks[-1](h, cond[-1], last_only=True)
         out = T.linear(T.reshape(last, (batch, c.width)), self.out_head)
         return T.reshape(out, (batch, c.horizon, c.latent_dim))
-
-
-class RolloutDivergence(RuntimeError):
-    def __init__(self, step: int, reason: str):
-        super().__init__(f"latent rollout diverged at step {step}: {reason}")
-        self.step = step
 
 
 @np.errstate(all="ignore")  # the tape reports non-finite values, by op

@@ -1,12 +1,16 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import romuq
 from romuq.adaptive import evaluate_grid
 from romuq.cli import main
 from romuq.datagen import ParamPoint, solve_hopf_surrogate
@@ -107,6 +111,22 @@ def test_generate_seed_follows_config(runner, tmp_path):
     assert recorded(explicit) == (3, 3)  # an explicit --seed still wins
     assert (explicit / "ks_nu1.updr").read_bytes() != \
         (implicit / "ks_nu1.updr").read_bytes()
+
+
+def test_generate_ks_nu_spellings_write_the_same_files(runner, tmp_path):
+    # a KS trajectory names nu ``ks_nu``; a sweep may use either name
+    cfg = tmp_path / "config.json"
+    write_config(cfg)
+    outs = [tmp_path / name for name in ("nu", "ks_nu")]
+    for out in outs:
+        res = runner.invoke(main, ["generate", "--config", str(cfg), "--case", "ks",
+                                  "--sweep", f"{out.name}=0.9", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+    listings = [sorted(p.name for p in out.iterdir()) for out in outs]
+    assert listings[0] == listings[1]
+    assert "ks_nu0.9.updr" in listings[0]
+    for name in listings[0]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_generate_rejects_malformed_sweep(runner, tmp_path):
@@ -399,6 +419,20 @@ def test_adapt_grid_names_must_match_the_data_exit_3(runner, tmp_path):
     assert not out.exists()
 
 
+def test_adapt_case_must_solve_the_data_exit_3(runner, tmp_path):
+    # Hopf data with datagen.case left at its default, ks
+    data = run_generate(runner, tmp_path)
+    ckpt = run_train(runner, tmp_path, data)
+    cfg = tmp_path / "ks_case.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONFIG, datagen={"n_x": 16, "dt": 0.1, "n_t": 40})))
+    out = tmp_path / "adapt"
+    res = runner.invoke(main, ["adapt", "--config", str(cfg), "--checkpoint",
+                              str(ckpt), "--data", str(data), "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "datagen.case" in res.output and "'ks'" in res.output
+    assert not out.exists()
+
+
 def test_adapt_solves_at_every_grid_value(runner, tmp_path):
     # omega 2.0 is not datagen.omega: the point must be solved at 2.0, or
     # the loop refuses the trajectory the generator returns
@@ -481,3 +515,29 @@ def test_report_exit_codes(runner, tmp_path):
     empty.mkdir()
     res = runner.invoke(main, ["report", "--out", str(empty)])
     assert res.exit_code == 2
+
+
+GENERATE_AND_REPORT = """
+import sys
+from romuq.cli import main
+main(["generate", "--config", sys.argv[1], "--sweep", "mu=0.3", "--out", sys.argv[2]],
+     standalone_mode=False)
+main(["report", "--out", sys.argv[2]], standalone_mode=False)
+print(sorted(m for m in ("scipy", "romuq.tensor", "romuq.training", "romuq.uq",
+                         "romuq.adaptive") if m in sys.modules))
+"""
+
+
+def test_generate_and_report_leave_the_model_stack_unloaded(tmp_path):
+    """In a fresh interpreter, the commands that run no model import neither
+    the model stack nor scipy."""
+    cfg = tmp_path / "config.json"
+    write_config(cfg)
+    path = os.pathsep.join(filter(None, [str(Path(romuq.__file__).resolve().parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", GENERATE_AND_REPORT, str(cfg),
+                          str(tmp_path / "data")], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "data/ke_hopf_mu0.3.csv").exists()
+    assert res.stdout.splitlines()[-1] == "[]"
