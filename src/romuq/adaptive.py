@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .datagen import ParamPoint, Trajectory, json_object, write_json
+from .datagen import ParamPoint, Trajectory, write_json
 from .metrics import ZeroVarianceError, pearson, scaled_mse, write_param_csv
 from .training import ModelCheckpoint, predict_rollout, retrain
 from .uq import aggregate_param, check_ensemble_size, second_pass
@@ -34,19 +34,8 @@ class AdaptiveState:
             "history": self.history,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdaptiveState":
-        return cls(param_grid=[ParamPoint.of(**p) for p in d["param_grid"]],
-                   trained_set=[ParamPoint.of(**p) for p in d["trained_set"]],
-                   history=d["history"])
-
     def save(self, path):
         write_json(path, self.to_dict())
-
-    @classmethod
-    def load(cls, path) -> "AdaptiveState":
-        with json_object(path) as d:
-            return cls.from_dict(d)
 
 
 def select_next(nu_grid: Sequence, trained_set: Sequence[ParamPoint]) -> ParamPoint:
@@ -73,8 +62,8 @@ def evaluate_grid(ckpt: ModelCheckpoint, truths: dict, grid, ensemble_n: int,
         truth = truths[point]
         steps = truth.n_t - q
         predicted, _ = predict_rollout(ckpt, truth.states[:q], point, steps)
-        field, _ = second_pass(predicted, ckpt, point, n=ensemble_n, seed=seed)
-        nu_list.append(aggregate_param(field))
+        nu, _ = second_pass(predicted, ckpt, point, n=ensemble_n, seed=seed)
+        nu_list.append(aggregate_param(nu))
         _, smse = scaled_mse(predicted, truth.states[q:q + steps])
         mse_list.append(smse)
         preds[point] = predicted

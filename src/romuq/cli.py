@@ -11,9 +11,9 @@ import click
 import numpy as np
 
 from .config import ConfigError, RunConfig, write_resolved
-from .datagen import (ParamPoint, SolverError, Trajectory, read_trajectory,
-                      solve_hopf_surrogate, solve_ks, split_even_odd, write_json,
-                      write_trajectory)
+from .datagen import (SOLVER_PARAMS, ParamPoint, SolverError, Trajectory,
+                      read_trajectory, solve_hopf_surrogate, solve_ks, split_even_odd,
+                      write_json, write_trajectory)
 from .errors import NonFiniteError, RolloutDivergence, TrainingDiverged
 from .metrics import (crps, kinetic_energy, relative_mse, scaled_mse, write_csv,
                       write_param_csv)
@@ -66,27 +66,16 @@ def _parse_sweep(sweep: str):
     return name.strip(), [float(v) for v in values]
 
 
-# The sorted parameter names each case's solver takes: KS's ``nu`` is named
-# ``ks_nu`` in a trajectory; Hopf's ``omega`` defaults to ``datagen.omega``.
-SOLVER_PARAMS = {"ks": (("nu",), ("ks_nu",)), "hopf": (("mu",), ("mu", "omega"))}
-
-
 def _generate_one(config: RunConfig, case: str, params: dict, seed: int) -> Trajectory:
-    """Solve ``case`` at every value of ``params``, named as SOLVER_PARAMS says."""
+    """Solve ``case`` at ``params``, which its caller checked against SOLVER_PARAMS."""
     dg = config.datagen
-    names = tuple(sorted(params))
     if case == "ks":
-        if names not in SOLVER_PARAMS["ks"]:
-            raise ValueError(f"the ks solver takes 'nu', got {list(names)}")
-        return solve_ks(nu=params[names[0]], n_x=dg.n_x, domain_length=dg.domain_length,
+        (nu,) = params.values()
+        return solve_ks(nu=nu, n_x=dg.n_x, domain_length=dg.domain_length,
                         dt=dg.dt, n_t=dg.n_t, seed=seed, init_scale=dg.init_scale)
-    if case == "hopf":
-        if names not in SOLVER_PARAMS["hopf"]:
-            raise ValueError(f"the hopf solver takes 'mu' and 'omega', got {list(names)}")
-        return solve_hopf_surrogate(mu=params["mu"], omega=params.get("omega", dg.omega),
-                                    n_x=dg.n_x, dt=dg.dt, n_t=dg.n_t,
-                                    init_amplitude=dg.init_amplitude)
-    raise ValueError(f"unknown case {case!r}")
+    return solve_hopf_surrogate(mu=params["mu"], omega=params.get("omega", dg.omega),
+                                n_x=dg.n_x, dt=dg.dt, n_t=dg.n_t,
+                                init_amplitude=dg.init_amplitude)
 
 
 def _load_dataset(data_dir: Path):
@@ -99,7 +88,7 @@ def _load_dataset(data_dir: Path):
 def _grid(config: RunConfig, names: tuple) -> list:
     """The adaptive grid, whose every point names exactly ``names``, the
     parameters of the initial data, which ``datagen.case``'s solver takes."""
-    if names not in SOLVER_PARAMS.get(config.datagen.case, ()):
+    if names not in SOLVER_PARAMS[config.datagen.case]:
         raise ConfigError(f"datagen.case {config.datagen.case!r} cannot solve at the "
                           f"initial data's parameters {list(names)}")
     if len(config.adaptive.grid) < 2:
@@ -124,7 +113,7 @@ def main():
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--case", type=click.Choice(["ks", "hopf"]), default=None)
+@click.option("--case", type=click.Choice(list(SOLVER_PARAMS)), default=None)
 @click.option("--sweep", required=True, help="name=v1,v2,... parameter sweep")
 @click.option("--seed", type=int, default=None, help="overrides the config's seed")
 @click.option("--out", "out_dir", type=click.Path(), default="runs/data")
@@ -136,6 +125,8 @@ def generate(config_path, case, sweep, seed, out_dir):
     name, values = _parse_sweep(sweep)
     if (case, name) == ("ks", "ks_nu"):  # both spellings write ks_nu<value>.updr
         name = "nu"
+    if (name,) not in SOLVER_PARAMS[case]:
+        raise ValueError(f"the {case} solver sweeps {SOLVER_PARAMS[case][0][0]!r}, got {name!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -218,11 +209,10 @@ def cmd_uq(ckpt_dir, data_file, ensemble_n, seed, out_dir):
     from .uq import aggregate_param, check_ensemble_size, second_pass, write_uq_csvs
     check_ensemble_size(ensemble_n)
     ckpt, traj, predicted, truth = _predict_for(ckpt_dir, data_file)
-    field, ensemble = second_pass(predicted, ckpt, traj.param, n=ensemble_n,
-                                  seed=seed)
+    nu, ensemble = second_pass(predicted, ckpt, traj.param, n=ensemble_n, seed=seed)
     out = Path(out_dir)
-    write_uq_csvs(out, field)
-    write_param_csv(out / "nu_xi.csv", [traj.param], nu_xi=[aggregate_param(field)])
+    write_uq_csvs(out, nu)
+    write_param_csv(out / "nu_xi.csv", [traj.param], nu_xi=[aggregate_param(nu)])
     write_param_csv(out / "metrics.csv", [traj.param],
                     relative_mse_percent=[relative_mse(predicted, truth)],
                     crps_printed=[crps(ensemble, truth, form="printed")],

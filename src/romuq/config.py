@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
-from .datagen import write_json
+from .datagen import SOLVER_PARAMS, write_json
 
 
 class ConfigError(ValueError):
@@ -75,6 +75,11 @@ class DatagenSection:
     omega: float = 1.0
     init_amplitude: float = 0.1
     init_scale: float = 0.1
+
+    def __post_init__(self):
+        if self.case not in SOLVER_PARAMS:
+            raise ConfigError(f"unknown case {self.case!r}; expected one of "
+                              f"{list(SOLVER_PARAMS)}")
 
 
 @dataclass

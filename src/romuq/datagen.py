@@ -218,6 +218,11 @@ def solve_hopf_surrogate(mu: float, omega: float = 1.0, n_x: int = 64,
                       param=ParamPoint.of(mu=mu, omega=omega))
 
 
+# The sorted parameter names each case's solver takes: KS's ``nu`` is named
+# ``ks_nu`` in a trajectory; Hopf's ``omega`` defaults to ``datagen.omega``.
+SOLVER_PARAMS = {"ks": (("nu",), ("ks_nu",)), "hopf": (("mu",), ("mu", "omega"))}
+
+
 # ---------------------------------------------------------------------------
 # dataset utilities
 

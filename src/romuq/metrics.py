@@ -18,23 +18,10 @@ class ZeroVarianceError(ValueError):
     pass
 
 
-def kinetic_energy(states: np.ndarray, channels: int = 1) -> np.ndarray:
-    """Per-step kinetic energy of the state vector.
-
-    For a single scalar channel, k_t = (1/(2 n_xy)) sum_d u^2. With two
-    stacked velocity channels the state splits in half into (u, v) and
-    k_t = (1/(2 n_pts)) sum_d (u^2 + v^2).
-    """
+def kinetic_energy(states: np.ndarray) -> np.ndarray:
+    """Per-step kinetic energy of the scalar state, k_t = (1/(2 n_xy)) sum_d u^2."""
     states = np.asarray(states, dtype=np.float64)
-    if channels == 1:
-        return 0.5 * np.mean(states ** 2, axis=-1)
-    if channels == 2:
-        if states.shape[-1] % 2 != 0:
-            raise ValueError("state dim must be even for two channels")
-        half = states.shape[-1] // 2
-        u, v = states[..., :half], states[..., half:]
-        return 0.5 * np.mean(u ** 2 + v ** 2, axis=-1)
-    raise ValueError(f"unsupported channel count {channels}")
+    return 0.5 * np.mean(states ** 2, axis=-1)
 
 
 def relative_mse(pred: np.ndarray, truth: np.ndarray) -> float:

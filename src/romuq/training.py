@@ -51,7 +51,7 @@ def total_loss(vae: Vae, transformer: LatentTransformer,
     rec_term = T.mse(recon, phi_lb)
 
     target_mu = vae.encode(phi_tg, xi_h).mu
-    z_pred = transformer.forecast(T.reshape(z, (b, q, z_dim)), Tensor(xi))
+    z_pred = transformer.forecast(T.reshape(z, (b, q, z_dim)), xi)
     z_pred_flat = T.reshape(z_pred, (b * h, z_dim))
     latent_term = T.mse(z_pred_flat, target_mu)
 

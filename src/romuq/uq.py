@@ -7,7 +7,6 @@ deviation gives the uncertainty field nu over (space, time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +14,6 @@ import numpy as np
 from .datagen import ParamPoint
 from .metrics import time_blocks, write_csv
 from .training import ModelCheckpoint
-
-
-@dataclass
-class UncertaintyField:
-    nu: np.ndarray  # (n_t, n_xy), >= 0
-    param: ParamPoint
-    ensemble_size: int
-    seed: int
 
 
 # (seed, dim) and the read-only (n, n_t, dim) array of the last ensemble_noise
@@ -61,10 +52,10 @@ def second_pass(predicted_states: np.ndarray, ckpt: ModelCheckpoint,
                 xi: ParamPoint, n: int = 64, seed: int = 0):
     """Ensemble UQ over a decoded prediction window (physical space).
 
-    Returns the UncertaintyField and the decoded ensemble (n, n_t, n_xy),
-    the latter feeding CRPS. Uses encoder/decoder only; the transformer is
-    never invoked. Members are decoded in blocks of time steps, so beyond
-    the ensemble itself the memory is one block's.
+    Returns the uncertainty field nu (n_t, n_xy), >= 0, and the decoded
+    ensemble (n, n_t, n_xy), the latter feeding CRPS. Uses encoder/decoder
+    only; the transformer is never invoked. Members are decoded in blocks
+    of time steps, so beyond the ensemble itself the memory is one block's.
     """
     check_ensemble_size(n)
     states = np.asarray(predicted_states, dtype=np.float64)
@@ -85,33 +76,31 @@ def second_pass(predicted_states: np.ndarray, ckpt: ModelCheckpoint,
         ensemble[:, s] = block
         mean = block.mean(axis=0)
         nu[s] = np.sqrt(np.mean((block - mean[None]) ** 2, axis=0))
-    field = UncertaintyField(nu=nu, param=xi, ensemble_size=n, seed=seed)
-    return field, ensemble
+    return nu, ensemble
 
 
-def aggregate_time(field: UncertaintyField) -> np.ndarray:
+def aggregate_time(nu: np.ndarray) -> np.ndarray:
     """Spatially averaged uncertainty per time step."""
-    return field.nu.mean(axis=1)
+    return nu.mean(axis=1)
 
 
-def aggregate_param(field: UncertaintyField) -> float:
+def aggregate_param(nu: np.ndarray) -> float:
     """Uncertainty collapsed over space and time to one scalar per xi."""
-    return float(field.nu.mean())
+    return float(nu.mean())
 
 
-def confidence_interval(mean_traj: np.ndarray, field: UncertaintyField,
-                        k: float = 2.0):
+def confidence_interval(mean_traj: np.ndarray, nu: np.ndarray, k: float = 2.0):
     """Elementwise mean +/- k * nu bounds."""
     if k <= 0:
         raise ValueError("k must be positive")
-    return mean_traj - k * field.nu, mean_traj + k * field.nu
+    return mean_traj - k * nu, mean_traj + k * nu
 
 
-def write_uq_csvs(directory, field: UncertaintyField):
+def write_uq_csvs(directory, nu: np.ndarray):
     """Emit uq_field.csv (t, d, nu) and nu_t.csv for plotting."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_csv(directory / "uq_field.csv", ("t", "d", "nu"),
-              ((t, d, v) for t, row in enumerate(field.nu.tolist()) for d, v in enumerate(row)))
-    write_csv(directory / "nu_t.csv", ("t", "nu_t"), enumerate(aggregate_time(field)))
+              ((t, d, v) for t, row in enumerate(nu.tolist()) for d, v in enumerate(row)))
+    write_csv(directory / "nu_t.csv", ("t", "nu_t"), enumerate(aggregate_time(nu)))
 

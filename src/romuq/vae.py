@@ -30,10 +30,8 @@ class LatentDistribution:
 
 def param_rows(xi, batch: int, param_dim: int) -> Tensor:
     """External parameters as ``(batch, param_dim)`` model input. A
-    ParamPoint or a single vector is repeated on every row; a Tensor or a
-    2-D array is used as given."""
-    if isinstance(xi, Tensor):
-        return xi
+    ParamPoint or a single vector is repeated on every row; a 2-D array is
+    used as given."""
     arr = xi.vector() if isinstance(xi, ParamPoint) else np.asarray(xi, dtype=np.float64)
     if arr.shape[-1:] != (param_dim,):
         raise T.ShapeError("xi", arr.shape, (param_dim,))

@@ -299,8 +299,8 @@ def test_criterion_9_uq_temporal_structure(criterion, hopf_run):
     truth = hopf_truth(point)
     q = ckpt.config.transformer.lookback
     pred, _ = predict_rollout(ckpt, truth.states[:q], point, HOPF_NT - q)
-    field, _ = second_pass(pred, ckpt, point, n=64, seed=0)
-    nu_t = aggregate_time(field)
+    nu, _ = second_pass(pred, ckpt, point, n=64, seed=0)
+    nu_t = aggregate_time(nu)
     n = len(nu_t)
     transient_max = float(nu_t[: int(0.4 * n)].max())
     plateau_mean = float(nu_t[int(0.7 * n):].mean())
@@ -360,9 +360,9 @@ def test_criterion_11_determinism(criterion, tmp_path):
     pred_b, _ = predict_rollout(again, dataset[0].states[:3], xi, 10)
     rt_ok = pred_a.tobytes() == pred_b.tobytes()
 
-    field, _ = second_pass(pred_a, ckpt, xi, n=8, seed=0)
-    write_uq_csvs(tmp_path / "u1", field)
-    write_uq_csvs(tmp_path / "u2", field)
+    nu, _ = second_pass(pred_a, ckpt, xi, n=8, seed=0)
+    write_uq_csvs(tmp_path / "u1", nu)
+    write_uq_csvs(tmp_path / "u2", nu)
     csv_ok = ((tmp_path / "u1/uq_field.csv").read_bytes()
               == (tmp_path / "u2/uq_field.csv").read_bytes())
     criterion(11, "determinism and persistence",

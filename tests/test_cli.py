@@ -13,8 +13,9 @@ from click.testing import CliRunner
 import romuq
 from romuq.adaptive import evaluate_grid
 from romuq.cli import main
-from romuq.datagen import ParamPoint, solve_hopf_surrogate
-from romuq.training import ModelCheckpoint
+from romuq.datagen import ParamPoint, read_trajectory, solve_hopf_surrogate
+from romuq.training import ModelCheckpoint, predict_rollout
+from romuq.uq import aggregate_param, second_pass
 
 
 SMALL_CONFIG = {
@@ -144,6 +145,8 @@ def test_generate_rejects_wrong_sweep_name(runner, tmp_path):
     res = runner.invoke(main, ["generate", "--config", str(cfg),
                               "--sweep", "nu=0.3", "--out", str(tmp_path / "x")])
     assert res.exit_code == 5
+    assert "the hopf solver sweeps 'mu', got 'nu'" in res.output
+    assert not (tmp_path / "x").exists()  # refused before --out is created
 
 
 def test_missing_config_file_exit_code(runner, tmp_path):
@@ -167,12 +170,14 @@ def test_invalid_config_exit_code(runner, tmp_path):
                  '{"training": {"epochs": 0}}', '{"training": {"retrain_epochs": 0}}',
                  '{"training": {"replay_fraction": -0.1}}',
                  '{"training": {"replay_fraction": 1.5}}',
-                 '{"uq": {"ensemble_n": 1}}', '{"adaptive": {"budget": 0}}'):
+                 '{"uq": {"ensemble_n": 1}}', '{"adaptive": {"budget": 0}}',
+                 '{"datagen": {"case": "foo"}}'):
         cfg.write_text(text)
         res = runner.invoke(main, ["generate", "--config", str(cfg),
-                                  "--sweep", "mu=0.3"])
+                                  "--sweep", "mu=0.3", "--out", str(tmp_path / "x")])
         assert res.exit_code == 3, text
         assert "invalid config" in res.output, text
+        assert not (tmp_path / "x").exists(), text
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -245,6 +250,30 @@ def test_uq_output_deterministic(runner, tmp_path):
         assert res.exit_code == 0, res.output
     for name in ("uq_field.csv", "nu_t.csv", "metrics.csv"):
         assert (tmp_path / "u1" / name).read_bytes() == (tmp_path / "u2" / name).read_bytes()
+
+
+def test_uq_tables_hold_the_library_nu_bit_for_bit(runner, tmp_path):
+    data = run_generate(runner, tmp_path)
+    ckpt_dir = run_train(runner, tmp_path, data)
+    res = runner.invoke(main, ["uq", "--checkpoint", str(ckpt_dir), "--data",
+                              str(data / "hopf_mu0.5.updr"), "--n", "4",
+                              "--seed", "3", "--out", str(tmp_path / "uq")])
+    assert res.exit_code == 0, res.output
+
+    ckpt = ModelCheckpoint.load(ckpt_dir)
+    traj = read_trajectory(data / "hopf_mu0.5.updr")
+    q = ckpt.config.transformer.lookback
+    pred, _ = predict_rollout(ckpt, traj.states[:q], traj.param, traj.n_t - q)
+    nu, _ = second_pass(pred, ckpt, traj.param, n=4, seed=3)
+
+    header, *lines = (tmp_path / "uq/uq_field.csv").read_text().splitlines()
+    assert header == "t,d,nu"
+    rows = [line.split(",") for line in lines]
+    assert [(int(t), int(d)) for t, d, _ in rows] == list(np.ndindex(nu.shape))
+    assert np.array([float(v) for *_, v in rows]).tobytes() == nu.tobytes()
+    header, row = (tmp_path / "uq/nu_xi.csv").read_text().splitlines()
+    assert header == "mu,omega,nu_xi"
+    assert float(row.split(",")[-1]) == aggregate_param(nu)
 
 
 def test_uq_tiny_ensemble_exit_5_before_loading_anything(runner, tmp_path):

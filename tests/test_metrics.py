@@ -23,17 +23,6 @@ def test_kinetic_energy_unit_sine_mean():
     assert abs(k[0] - 0.25) < 1e-12
 
 
-def test_kinetic_energy_two_channels():
-    u = np.full(4, 1.0)
-    v = np.full(4, 2.0)
-    states = np.concatenate([u, v])[None, :]
-    np.testing.assert_allclose(kinetic_energy(states, channels=2), 2.5)
-    with pytest.raises(ValueError):
-        kinetic_energy(np.zeros((1, 5)), channels=2)
-    with pytest.raises(ValueError):
-        kinetic_energy(np.zeros((1, 4)), channels=3)
-
-
 def test_kinetic_energy_non_negative_and_scales_quadratically():
     rng = np.random.default_rng(0)
     states = rng.standard_normal((10, 16))

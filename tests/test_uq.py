@@ -7,9 +7,8 @@ from romuq.datagen import Grid, NormStats, ParamPoint, Trajectory
 from romuq.metrics import BLOCK_ROWS, crps, write_param_csv
 from romuq.training import ModelCheckpoint, TrainConfig, train
 from romuq.transformer import LatentTransformer, TransformerConfig
-from romuq.uq import (UncertaintyField, aggregate_param, aggregate_time,
-                      confidence_interval, ensemble_noise, member_noise,
-                      second_pass, write_uq_csvs)
+from romuq.uq import (aggregate_param, aggregate_time, confidence_interval,
+                      ensemble_noise, member_noise, second_pass, write_uq_csvs)
 from romuq.vae import Vae, VaeConfig
 from romuq.training import LossWeights
 
@@ -106,8 +105,8 @@ def test_degenerate_encoder_gives_zero_uncertainty():
     ckpt.vae.lv_head[0].data[:] = 0.0
     ckpt.vae.lv_head[1].data[:] = -80.0
     states = np.random.default_rng(2).standard_normal((6, 8))
-    field, ensemble = second_pass(states, ckpt, XI, n=16, seed=0)
-    np.testing.assert_allclose(field.nu, 0.0, atol=1e-12)
+    nu, ensemble = second_pass(states, ckpt, XI, n=16, seed=0)
+    np.testing.assert_allclose(nu, 0.0, atol=1e-12)
     # every member decodes the same latent mean
     assert np.max(np.abs(ensemble - ensemble[0][None])) < 1e-12
 
@@ -116,7 +115,7 @@ def test_second_pass_matches_direct_monte_carlo_recompute():
     ckpt = make_checkpoint(seed=3)
     states = np.random.default_rng(4).standard_normal((5, 8))
     n, seed = 12, 9
-    field, ensemble = second_pass(states, ckpt, XI, n=n, seed=seed)
+    nu, ensemble = second_pass(states, ckpt, XI, n=n, seed=seed)
 
     # independent recompute: same noise streams, member-by-member decode,
     # two-pass population variance
@@ -131,7 +130,7 @@ def test_second_pass_matches_direct_monte_carlo_recompute():
     np.testing.assert_allclose(ensemble, members, atol=1e-12)
     mean = members.mean(axis=0)
     var = np.mean((members - mean[None]) ** 2, axis=0)
-    np.testing.assert_allclose(field.nu, np.sqrt(var), atol=1e-12)
+    np.testing.assert_allclose(nu, np.sqrt(var), atol=1e-12)
 
 
 def test_second_pass_deterministic_and_transformer_free():
@@ -141,7 +140,7 @@ def test_second_pass_deterministic_and_transformer_free():
     f1, e1 = second_pass(states, ckpt, XI, n=8, seed=1)
     f2, e2 = second_pass(states, ckpt, XI, n=8, seed=1)
     assert ckpt.transformer.forward_count == before
-    assert f1.nu.tobytes() == f2.nu.tobytes()
+    assert f1.tobytes() == f2.tobytes()
     assert e1.tobytes() == e2.tobytes()
 
 
@@ -150,7 +149,7 @@ def test_second_pass_seed_changes_ensemble():
     states = np.random.default_rng(6).standard_normal((4, 8))
     f1, _ = second_pass(states, ckpt, XI, n=8, seed=1)
     f2, _ = second_pass(states, ckpt, XI, n=8, seed=2)
-    assert f1.nu.tobytes() != f2.nu.tobytes()
+    assert f1.tobytes() != f2.tobytes()
 
 
 def test_second_pass_spread_shrinks_with_ensemble_size():
@@ -204,13 +203,13 @@ def test_second_pass_blocks_are_bit_identical_to_one_decode(monkeypatch, n, n_t,
     ckpt = (make_checkpoint(seed=11, state_dim=64, latent_dim=8, hidden=(128,))
             if wide else make_checkpoint(seed=11))
     states = np.random.default_rng(12).standard_normal((n_t, ckpt.config.vae.state_dim))
-    nu, ref = one_shot_second_pass(states, ckpt, n, 4)
+    ref_nu, ref = one_shot_second_pass(states, ckpt, n, 4)
     decode, rows = ckpt.vae.decode, []
     monkeypatch.setattr(ckpt.vae, "decode", lambda z, xi: rows.append(len(z)) or decode(z, xi))
-    field, ensemble = second_pass(states, ckpt, XI, n=n, seed=4)
+    nu, ensemble = second_pass(states, ckpt, XI, n=n, seed=4)
     assert len(rows) == blocks and sum(rows) == n * n_t
     assert ensemble.tobytes() == ref.tobytes()
-    assert field.nu.tobytes() == nu.tobytes()
+    assert nu.tobytes() == ref_nu.tobytes()
 
 
 def test_second_pass_and_crps_hold_the_ensemble_plus_a_bounded_block():
@@ -234,35 +233,29 @@ def test_second_pass_and_crps_hold_the_ensemble_plus_a_bounded_block():
 # --------------------------------------------------------------- aggregations
 
 
-def field_of(nu):
-    return UncertaintyField(nu=np.asarray(nu, dtype=float), param=XI,
-                            ensemble_size=4, seed=0)
-
-
 def test_aggregations_on_known_field():
-    field = field_of([[1.0, 3.0], [2.0, 2.0], [0.0, 4.0]])
-    np.testing.assert_allclose(aggregate_time(field), [2.0, 2.0, 2.0])
-    assert aggregate_param(field) == pytest.approx(2.0)
+    nu = np.array([[1.0, 3.0], [2.0, 2.0], [0.0, 4.0]])
+    np.testing.assert_allclose(aggregate_time(nu), [2.0, 2.0, 2.0])
+    assert aggregate_param(nu) == pytest.approx(2.0)
     # nu_xi is the mean of nu_t
-    assert aggregate_param(field) == pytest.approx(np.mean(aggregate_time(field)))
+    assert aggregate_param(nu) == pytest.approx(np.mean(aggregate_time(nu)))
 
 
 def test_confidence_interval_properties():
-    field = field_of(np.abs(np.random.default_rng(1).standard_normal((3, 2))))
+    nu = np.abs(np.random.default_rng(1).standard_normal((3, 2)))
     mean = np.random.default_rng(2).standard_normal((3, 2))
-    lo1, hi1 = confidence_interval(mean, field, k=1.0)
-    lo2, hi2 = confidence_interval(mean, field, k=2.0)
+    lo1, hi1 = confidence_interval(mean, nu, k=1.0)
+    lo2, hi2 = confidence_interval(mean, nu, k=2.0)
     assert np.all(lo1 <= hi1)
     assert np.all(lo2 <= lo1) and np.all(hi1 <= hi2)
     np.testing.assert_allclose((lo1 + hi1) / 2, mean, atol=1e-12)
     with pytest.raises(ValueError):
-        confidence_interval(mean, field, k=0.0)
+        confidence_interval(mean, nu, k=0.0)
 
 
 def test_confidence_interval_zero_field_collapses_to_mean():
-    field = field_of(np.zeros((3, 2)))
     mean = np.ones((3, 2))
-    lo, hi = confidence_interval(mean, field)
+    lo, hi = confidence_interval(mean, np.zeros((3, 2)))
     np.testing.assert_array_equal(lo, mean)
     np.testing.assert_array_equal(hi, mean)
 
@@ -271,9 +264,9 @@ def test_confidence_interval_zero_field_collapses_to_mean():
 
 
 def test_uq_csvs_deterministic_and_well_formed(tmp_path):
-    field = field_of([[0.5, 1.5], [2.5, 3.5]])
-    write_uq_csvs(tmp_path / "a", field)
-    write_uq_csvs(tmp_path / "b", field)
+    nu = np.array([[0.5, 1.5], [2.5, 3.5]])
+    write_uq_csvs(tmp_path / "a", nu)
+    write_uq_csvs(tmp_path / "b", nu)
     a = (tmp_path / "a/uq_field.csv").read_bytes()
     assert a == (tmp_path / "b/uq_field.csv").read_bytes()
     lines = a.decode().strip().split("\n")
