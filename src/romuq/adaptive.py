@@ -17,7 +17,7 @@ import numpy as np
 
 from .datagen import ParamPoint, Trajectory, write_json
 from .metrics import ZeroVarianceError, pearson, scaled_mse, write_param_csv
-from .training import ModelCheckpoint, predict_rollout, retrain
+from .training import ModelCheckpoint, forecast_trajectory, retrain
 from .uq import aggregate_param, check_ensemble_size, second_pass
 
 
@@ -56,16 +56,12 @@ def evaluate_grid(ckpt: ModelCheckpoint, truths: dict, grid, ensemble_n: int,
 
     Returns per-point lists of (nu_xi, scaled mse, predicted states).
     """
-    q = ckpt.config.transformer.lookback
     nu_list, mse_list, preds = [], [], {}
     for point in grid:
-        truth = truths[point]
-        steps = truth.n_t - q
-        predicted, _ = predict_rollout(ckpt, truth.states[:q], point, steps)
+        predicted, truth = forecast_trajectory(ckpt, truths[point])
         nu, _ = second_pass(predicted, ckpt, point, n=ensemble_n, seed=seed)
         nu_list.append(aggregate_param(nu))
-        _, smse = scaled_mse(predicted, truth.states[q:q + steps])
-        mse_list.append(smse)
+        mse_list.append(scaled_mse(predicted, truth)[1])
         preds[point] = predicted
     return nu_list, mse_list, preds
 
@@ -77,10 +73,10 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
              seed: int = 0, out_dir=None):
     """Adaptive sampling loop; returns (AdaptiveState, final checkpoint).
 
-    ``generator`` supplies ground-truth trajectories on demand; one whose
-    ``param`` is not the requested point raises ValueError. Stops when
-    the maximum uncertainty over untrained points falls below ``threshold``
-    or after ``budget`` iterations.
+    ``generator`` supplies each grid point's ground truth, all solved once
+    before the first iteration; one whose ``param`` is not the requested
+    point raises ValueError. Stops when the maximum uncertainty over
+    untrained points falls below ``threshold`` or after ``budget`` iterations.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -96,24 +92,19 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
 
     replay_pool = list(initial_data)
     truths: dict = {}
-
-    def fetch(point):
-        if point not in truths:
-            try:
-                traj = generator(point)
+    try:
+        for point in grid:
+            if point not in truths:
+                traj = truths[point] = generator(point)
                 if traj.param != point:
                     raise ValueError(f"the generator returned a trajectory at "
                                      f"{traj.param.as_dict()} for {point.as_dict()}")
-            except Exception:
-                if out_path is not None:
-                    state.save(out_path / "adaptive_history.json")
-                raise
-            truths[point] = traj
-        return truths[point]
+    except Exception:
+        if out_path is not None:
+            state.save(out_path / "adaptive_history.json")
+        raise
 
     for iteration in range(budget + 1):
-        for point in grid:
-            fetch(point)
         nu_list, mse_list, _ = evaluate_grid(ckpt, truths, grid, ensemble_n,
                                              seed + iteration)
         try:
@@ -130,24 +121,21 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
             "pearson_r": r,
             "chosen": None,
         }
+        state.history.append(record)
         if out_path is not None:
             write_param_csv(out_path / f"iter{iteration}_nu.csv", grid, nu_xi=nu_list)
             write_param_csv(out_path / f"iter{iteration}_mse.csv", grid, scaled_mse=mse_list)
 
         converged = not untrained or max(v for _, v in untrained) < threshold
         if converged or iteration == budget:
-            state.history.append(record)
             break
 
         chosen = select_next(list(zip(grid, nu_list)), state.trained_set)
         record["chosen"] = chosen.as_dict()
-        state.history.append(record)
-
-        new_traj = fetch(chosen)
-        retrain(ckpt, [new_traj], replay_pool, replay_fraction, retrain_epochs,
+        retrain(ckpt, [truths[chosen]], replay_pool, replay_fraction, retrain_epochs,
                 seed=seed + 1000 + iteration,
                 dataset_id=f"adaptive_iter{iteration}")
-        replay_pool.append(new_traj)
+        replay_pool.append(truths[chosen])
         state.trained_set.append(chosen)
 
     if out_path is not None:

@@ -47,15 +47,12 @@ class _Cli(click.Group):
             raise
 
 
-def _load_config(path) -> RunConfig:
-    return RunConfig() if path is None else RunConfig.load(path)
-
-
-def _resolve_seed(config: RunConfig, seed) -> int:
-    """An explicit --seed wins over the config's ``seed``."""
+def _load_config(path, seed) -> RunConfig:
+    """The config at ``path`` (the defaults without one); --seed wins over its seed."""
+    config = RunConfig() if path is None else RunConfig.load(path)
     if seed is not None:
         config.seed = seed
-    return config.seed
+    return config
 
 
 def _parse_sweep(sweep: str):
@@ -66,13 +63,13 @@ def _parse_sweep(sweep: str):
     return name.strip(), [float(v) for v in values]
 
 
-def _generate_one(config: RunConfig, case: str, params: dict, seed: int) -> Trajectory:
-    """Solve ``case`` at ``params``, which its caller checked against SOLVER_PARAMS."""
+def _generate_one(config: RunConfig, params: dict) -> Trajectory:
+    """Solve ``datagen.case`` at ``params``, checked against SOLVER_PARAMS."""
     dg = config.datagen
-    if case == "ks":
+    if dg.case == "ks":
         (nu,) = params.values()
         return solve_ks(nu=nu, n_x=dg.n_x, domain_length=dg.domain_length,
-                        dt=dg.dt, n_t=dg.n_t, seed=seed, init_scale=dg.init_scale)
+                        dt=dg.dt, n_t=dg.n_t, seed=config.seed, init_scale=dg.init_scale)
     return solve_hopf_surrogate(mu=params["mu"], omega=params.get("omega", dg.omega),
                                 n_x=dg.n_x, dt=dg.dt, n_t=dg.n_t,
                                 init_amplitude=dg.init_amplitude)
@@ -119,8 +116,7 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(), default="runs/data")
 def generate(config_path, case, sweep, seed, out_dir):
     """Generate one trajectory file per sweep value."""
-    config = _load_config(config_path)
-    seed = _resolve_seed(config, seed)
+    config = _load_config(config_path, seed)
     case = config.datagen.case = case or config.datagen.case
     name, values = _parse_sweep(sweep)
     if (case, name) == ("ks", "ks_nu"):  # both spellings write ks_nu<value>.updr
@@ -131,12 +127,12 @@ def generate(config_path, case, sweep, seed, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     files = []
     for value in values:
-        traj = _generate_one(config, case, {name: value}, seed)
+        traj = _generate_one(config, {name: value})
         fname = f"{case}_{name}{value:g}.updr"
         write_trajectory(out / fname, traj)
         files.append(fname)
     write_json(out / "manifest.json",
-               {"case": case, "sweep": {name: values}, "files": files, "seed": seed})
+               {"case": case, "sweep": {name: values}, "files": files, "seed": config.seed})
     write_resolved(config, out)
     click.echo(f"wrote {len(files)} trajectories to {out}")
 
@@ -149,12 +145,11 @@ def generate(config_path, case, sweep, seed, out_dir):
 def cmd_train(config_path, data_dir, seed, out_dir):
     """Train on the even-index split of every trajectory in --data."""
     from .training import train
-    config = _load_config(config_path)
-    seed = _resolve_seed(config, seed)
+    config = _load_config(config_path, seed)
     dataset = _load_dataset(Path(data_dir))
     train_set = [split_even_odd(t)[0] for t in dataset]
     tc = config.train_config(train_set[0].n_xy, len(train_set[0].param.names()))
-    ckpt = train(train_set, tc, seed, dataset_id=str(data_dir))
+    ckpt = train(train_set, tc, config.seed, dataset_id=str(data_dir))
     out = Path(out_dir)
     ckpt.save(out / "checkpoint")
     write_resolved(config, out)
@@ -167,15 +162,10 @@ def cmd_train(config_path, data_dir, seed, out_dir):
 
 def _predict_for(ckpt_dir, data_file):
     """(checkpoint, trajectory, rollout past its lookback, the states forecast)"""
-    from .training import ModelCheckpoint, predict_rollout
+    from .training import ModelCheckpoint, forecast_trajectory
     ckpt = ModelCheckpoint.load(ckpt_dir)
     traj = read_trajectory(data_file)
-    q = ckpt.config.transformer.lookback
-    steps = traj.n_t - q
-    if steps < 1:
-        raise ValueError(f"trajectory too short for lookback {q}")
-    predicted, _ = predict_rollout(ckpt, traj.states[:q], traj.param, steps)
-    return ckpt, traj, predicted, traj.states[q:q + steps]
+    return ckpt, traj, *forecast_trajectory(ckpt, traj)
 
 
 @main.command("infer")
@@ -191,7 +181,7 @@ def cmd_infer(ckpt_dir, data_file, out_dir):
     write_csv(out / "kinetic_energy.csv", ("t", "k_pred", "k_true"),
               zip(range(len(k_pred)), k_pred, kinetic_energy(truth)))
     write_trajectory(out / "prediction.updr",
-                     Trajectory(states=predicted, dt=traj.dt, grid=traj.grid,
+                     Trajectory(states=predicted, dt=traj.dt, length=traj.length,
                                 param=traj.param))
     rel = relative_mse(predicted, truth)
     write_json(out / "metrics.json", {"relative_mse_percent": rel})
@@ -234,8 +224,7 @@ def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir)
     """Uncertainty-driven adaptive sampling over the configured grid."""
     from .adaptive import run_loop
     from .training import ModelCheckpoint
-    config = _load_config(config_path)
-    seed = _resolve_seed(config, seed)
+    config = _load_config(config_path, seed)
     if budget is not None:
         config.adaptive.budget = budget
     if threshold is not None:
@@ -245,7 +234,7 @@ def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir)
     grid = _grid(config, initial[0].param.names())
 
     def generator(point: ParamPoint) -> Trajectory:
-        return _generate_one(config, config.datagen.case, point.as_dict(), seed)
+        return _generate_one(config, point.as_dict())
 
     out = Path(out_dir)
     run_loop(ckpt, generator, grid, config.adaptive.budget,
@@ -253,7 +242,7 @@ def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir)
              initial_data=[split_even_odd(t)[0] for t in initial],
              retrain_epochs=config.training.retrain_epochs,
              replay_fraction=config.training.replay_fraction,
-             ensemble_n=config.uq.ensemble_n, seed=seed, out_dir=out)
+             ensemble_n=config.uq.ensemble_n, seed=config.seed, out_dir=out)
     ckpt.save(out / "checkpoint")
     write_resolved(config, out)
     click.echo(f"adaptive history written to {out}")

@@ -52,18 +52,12 @@ class ParamPoint:
 
 
 @dataclass
-class Grid:
-    length: float
-    n_points: int
-
-
-@dataclass
 class Trajectory:
-    """Dense space-time state array with grid metadata; the dataset unit."""
+    """Dense space-time state array and its domain length; the dataset unit."""
 
-    states: np.ndarray  # (n_t, n_xy) float64
+    states: np.ndarray  # (n_t, n_xy) float64; n_xy is the grid width
     dt: float
-    grid: Grid
+    length: float
     param: ParamPoint = field(default_factory=ParamPoint)
 
     def __post_init__(self):
@@ -163,7 +157,7 @@ def solve_ks(nu: float, n_x: int = 64, domain_length: float = 22.0,
             raise SolverError(f"KS solution blow-up at nu={nu:g}", step)
         states[step] = u
 
-    return Trajectory(states=states, dt=dt, grid=Grid(domain_length, n_x),
+    return Trajectory(states=states, dt=dt, length=domain_length,
                       param=ParamPoint.of(ks_nu=nu))
 
 
@@ -214,7 +208,7 @@ def solve_hopf_surrogate(mu: float, omega: float = 1.0, n_x: int = 64,
     amps = stuart_landau(mu, omega, dt, n_t, init_amplitude)
     g1, g2, s = hopf_mode_shapes(n_x)
     states = np.outer(amps.real, g1) + np.outer(amps.imag, g2) + s[None, :]
-    return Trajectory(states=states, dt=dt, grid=Grid(2 * np.pi, n_x),
+    return Trajectory(states=states, dt=dt, length=2 * np.pi,
                       param=ParamPoint.of(mu=mu, omega=omega))
 
 
@@ -232,9 +226,9 @@ def split_even_odd(traj: Trajectory):
     if traj.n_t < 4:
         raise ValueError("need at least 4 snapshots to split")
     train = Trajectory(states=traj.states[0::2].copy(), dt=2 * traj.dt,
-                       grid=traj.grid, param=traj.param)
+                       length=traj.length, param=traj.param)
     test = Trajectory(states=traj.states[1::2].copy(), dt=2 * traj.dt,
-                      grid=traj.grid, param=traj.param)
+                      length=traj.length, param=traj.param)
     return train, test
 
 
@@ -250,6 +244,16 @@ class NormStats:
     def forward(self, states: np.ndarray) -> np.ndarray:
         return (states - self.mean) / self.std
 
+    @classmethod
+    def fit(cls, dataset: list) -> "NormStats":
+        """Per-feature zero-mean unit-variance map fit on ``dataset``; zero-variance
+        features have their variance floored at 1e-8 and flagged."""
+        stacked = np.concatenate([t.states for t in dataset], axis=0)
+        var = stacked.var(axis=0)
+        return cls(mean=stacked.mean(axis=0),
+                   std=np.sqrt(np.maximum(var, VARIANCE_FLOOR)),
+                   floored=var < VARIANCE_FLOOR)
+
     def inverse(self, states: np.ndarray) -> np.ndarray:
         return states * self.std + self.mean
 
@@ -262,23 +266,6 @@ class NormStats:
         return cls(mean=np.array(d["mean"], dtype=np.float64),
                    std=np.array(d["std"], dtype=np.float64),
                    floored=np.array(d["floored"], dtype=bool))
-
-
-def normalize(dataset: list):
-    """Per-feature zero-mean unit-variance map fit on ``dataset``.
-
-    Returns the transformed trajectories and the stats for the inverse map.
-    Zero-variance features have their variance floored at 1e-8 and flagged.
-    """
-    stacked = np.concatenate([t.states for t in dataset], axis=0)
-    mean = stacked.mean(axis=0)
-    var = stacked.var(axis=0)
-    floored = var < VARIANCE_FLOOR
-    std = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
-    stats = NormStats(mean=mean, std=std, floored=floored)
-    out = [Trajectory(states=stats.forward(t.states), dt=t.dt, grid=t.grid,
-                      param=t.param) for t in dataset]
-    return out, stats
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +295,7 @@ def write_trajectory(path, traj: Trajectory):
         "n_xy": traj.n_xy,
         "dt": traj.dt,
         "params": {k: v for k, v in params},
-        "grid": {"length": traj.grid.length, "n_points": traj.grid.n_points},
+        "grid": {"length": traj.length, "n_points": traj.n_xy},
     }
     write_json(path.with_suffix(path.suffix + ".meta.json"), meta)
 
@@ -349,8 +336,9 @@ def _read_exact(f, n: int, path) -> bytes:
 
 def read_trajectory(path) -> Trajectory:
     """Load a file written by :func:`write_trajectory`; a truncated file,
-    one with bytes after the payload, or a malformed ``.meta.json`` sidecar
-    raises ValueError naming the path."""
+    one with bytes after the payload or a non-finite value in it, or a
+    malformed ``.meta.json`` sidecar raises ValueError naming the path.
+    Only the sidecar's grid ``length`` is read (1.0 without a sidecar)."""
     path = Path(path)
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -378,11 +366,13 @@ def read_trajectory(path) -> Trajectory:
         if have > need:
             raise ValueError(f"trailing bytes after the payload in {path}")
         payload = np.frombuffer(f.read(need), dtype="<f4")
+    if not np.all(np.isfinite(payload)):  # checked before a cast that would warn
+        raise ValueError(f"non-finite states in {path}")
     states = payload.reshape(n_t, n_xy).astype(np.float64)
     meta_path = path.with_suffix(path.suffix + ".meta.json")
-    grid = Grid(1.0, n_xy)
+    length = 1.0
     if meta_path.exists():
         with json_object(meta_path) as meta:
-            grid = Grid(meta["grid"]["length"], meta["grid"]["n_points"])
-    return Trajectory(states=states, dt=dt, grid=grid,
+            length = meta["grid"]["length"]
+    return Trajectory(states=states, dt=dt, length=length,
                       param=ParamPoint.of(**params))

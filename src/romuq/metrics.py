@@ -70,7 +70,9 @@ def crps(ensemble: np.ndarray, truth: np.ndarray, form: str = "printed") -> floa
 
     ``printed`` uses squared differences:
         (1/n) sum_i (e_i - t)^2 - (1/(2 n^2)) sum_{i != j} (e_i - e_j)^2
-    ``abs`` is the standard absolute-value ensemble form.
+    which equals (mean_i e_i - t)^2, the squared error of the ensemble
+    mean: it scores accuracy, not spread. ``abs`` is the standard
+    absolute-value ensemble form, the one that scores the spread.
 
     The per-element scores are computed in blocks of time steps (the first
     axis of ``truth``), so the temporaries stay a few MB.

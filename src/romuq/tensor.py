@@ -52,9 +52,6 @@ class Tensor:
         no gradient is updated in place, so tensors may share one array."""
         self.grad = g if self.grad is None else self.grad + g
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
 
 class _TapeEntry:
     __slots__ = ("name", "inputs", "output", "backward_fn")

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import LossWeights, TrainConfig, parse
-from .datagen import NormStats, ParamPoint, Trajectory, json_object, normalize, write_json
+from .datagen import NormStats, ParamPoint, Trajectory, json_object, write_json
 from .errors import NonFiniteError, TrainingDiverged
 from .optim import Adam
 from .tensor import Tape, Tensor
@@ -155,15 +155,15 @@ def extract_windows(trajs: Sequence[Trajectory], q: int, h: int):
     return [(ti, s) for ti, traj in enumerate(trajs) for s in range(traj.n_t - q - h + 1)]
 
 
-def _gather_batch(trajs, window_index, batch_ids, q, h):
-    phi_w = np.stack([trajs[ti].states[s:s + q] for ti, s in (window_index[i] for i in batch_ids)])
-    phi_t = np.stack([trajs[ti].states[s + q:s + q + h] for ti, s in (window_index[i] for i in batch_ids)])
-    xi = np.stack([trajs[ti].param.vector() for ti, s in (window_index[i] for i in batch_ids)])
-    return phi_w, phi_t, xi
+def _gather_batch(trajs, windows, q, h, stats: NormStats):
+    phi_w = np.stack([trajs[ti].states[s:s + q] for ti, s in windows])
+    phi_t = np.stack([trajs[ti].states[s + q:s + q + h] for ti, s in windows])
+    xi = np.stack([trajs[ti].param.vector() for ti, _ in windows])
+    return stats.forward(phi_w), stats.forward(phi_t), xi
 
 
 @np.errstate(all="ignore")  # the tape reports non-finite values, by op
-def _run_epochs(ckpt: ModelCheckpoint, trajs_norm, window_index, epochs,
+def _run_epochs(ckpt: ModelCheckpoint, trajs, window_index, epochs,
                 rng: np.random.Generator, dataset_id: str):
     """Appends each epoch's mean loss to the loss curve, then one lineage
     entry holding each epoch's means of the ``total_loss`` components."""
@@ -180,9 +180,9 @@ def _run_epochs(ckpt: ModelCheckpoint, trajs_norm, window_index, epochs,
         sums: dict = {}
         n_batches = 0
         for start in range(0, n_windows, cfg.batch_size):
-            batch_ids = order[start:start + cfg.batch_size]
-            phi_w, phi_t, xi = _gather_batch(trajs_norm, window_index, batch_ids, q, h)
-            noise = rng.standard_normal((len(batch_ids), q, z_dim))
+            windows = [window_index[i] for i in order[start:start + cfg.batch_size]]
+            phi_w, phi_t, xi = _gather_batch(trajs, windows, q, h, ckpt.stats)
+            noise = rng.standard_normal((len(windows), q, z_dim))
             opt.zero_grad()
             with Tape() as tape:
                 try:
@@ -209,13 +209,12 @@ def train(dataset: Sequence[Trajectory], config: TrainConfig, seed: int,
         raise ValueError("empty dataset")
     window_index = extract_windows(dataset, config.transformer.lookback,
                                    config.transformer.horizon)
-    trajs_norm, stats = normalize(list(dataset))
     rng = np.random.default_rng(seed)
     vae = Vae(config.vae, rng)
     transformer = LatentTransformer(config.transformer, rng)
     ckpt = ModelCheckpoint(vae=vae, transformer=transformer, config=config,
-                           stats=stats, seed=seed)
-    _run_epochs(ckpt, trajs_norm, window_index, config.epochs, rng, dataset_id)
+                           stats=NormStats.fit(dataset), seed=seed)
+    _run_epochs(ckpt, dataset, window_index, config.epochs, rng, dataset_id)
     return ckpt
 
 
@@ -230,8 +229,7 @@ def retrain(ckpt: ModelCheckpoint, new_data: Sequence[Trajectory],
     cfg = ckpt.config
     rng = np.random.default_rng(seed)
 
-    trajs = [Trajectory(states=ckpt.stats.forward(t.states), dt=t.dt,
-                        grid=t.grid, param=t.param) for t in [*new_data, *prior_data]]
+    trajs = [*new_data, *prior_data]
     index = extract_windows(trajs, cfg.transformer.lookback, cfg.transformer.horizon)
     window_index = [w for w in index if w[0] < len(new_data)]
     prior_windows = [w for w in index if w[0] >= len(new_data)]
@@ -261,3 +259,13 @@ def predict_rollout(ckpt: ModelCheckpoint, init_states: np.ndarray,
     z_traj = rollout(ckpt.transformer, mu, xi, steps)
     decoded = ckpt.vae.decode(z_traj, xi).data
     return ckpt.stats.inverse(decoded), z_traj
+
+
+def forecast_trajectory(ckpt: ModelCheckpoint, traj: Trajectory):
+    """Roll out from the first lookback window of ``traj`` at its parameters
+    over the rest of it; returns (predicted states, true states)."""
+    q = ckpt.config.transformer.lookback
+    if traj.n_t <= q:
+        raise ValueError(f"trajectory too short for lookback {q}")
+    predicted, _ = predict_rollout(ckpt, traj.states[:q], traj.param, traj.n_t - q)
+    return predicted, traj.states[q:]

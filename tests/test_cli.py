@@ -309,8 +309,9 @@ def test_malformed_inputs_exit_5_naming_the_file(runner, tmp_path):
 
     good = traj.read_bytes()
     huge_n_t = good[:8] + (2 ** 62).to_bytes(8, "little") + good[16:]
+    nan_payload = good[:-4] + b"\x01\x00\x80\x7f"  # a float32 signalling NaN
     for content, message in ((good[:-4], "truncated"), (good + b"\0", "trailing"),
-                             (huge_n_t, "truncated")):
+                             (huge_n_t, "truncated"), (nan_payload, "non-finite")):
         traj.write_bytes(content)
         for args in commands + [["report", "--out", str(data)]]:
             assert_exit_5(args, traj, message)

@@ -1,15 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
-from romuq.datagen import (Grid, NormStats, ParamPoint, SolverError,
-                           Trajectory, normalize, read_trajectory, solve_ks,
+from romuq.datagen import (NormStats, ParamPoint, SolverError,
+                           Trajectory, read_trajectory, solve_ks,
                            solve_hopf_surrogate, split_even_odd,
                            stuart_landau, write_trajectory)
 
 
 def make_traj(states, dt=0.1, **params):
-    return Trajectory(states=np.asarray(states, dtype=float), dt=dt,
-                      grid=Grid(1.0, np.asarray(states).shape[1]),
+    return Trajectory(states=np.asarray(states, dtype=float), dt=dt, length=1.0,
                       param=ParamPoint.of(**params))
 
 
@@ -147,8 +148,8 @@ def test_split_requires_four_snapshots():
 
 def test_normalize_constant_feature_flagged_and_zeroed():
     traj = make_traj(np.full((8, 3), 2.5), mu=0.0)
-    out, stats = normalize([traj])
-    np.testing.assert_allclose(out[0].states, 0.0)
+    stats = NormStats.fit([traj])
+    np.testing.assert_allclose(stats.forward(traj.states), 0.0)
     assert stats.floored.all()
 
 
@@ -156,7 +157,7 @@ def test_normalize_standardised_data_stats():
     rng = np.random.default_rng(1)
     data = rng.standard_normal((5000, 4))
     data = (data - data.mean(axis=0)) / data.std(axis=0)
-    _, stats = normalize([make_traj(data, mu=0.0)])
+    stats = NormStats.fit([make_traj(data, mu=0.0)])
     np.testing.assert_allclose(stats.mean, 0.0, atol=1e-12)
     np.testing.assert_allclose(stats.std, 1.0, atol=1e-12)
 
@@ -164,13 +165,13 @@ def test_normalize_standardised_data_stats():
 def test_normalize_round_trip():
     rng = np.random.default_rng(2)
     traj = make_traj(rng.standard_normal((50, 6)) * 3 + 1, mu=0.0)
-    out, stats = normalize([traj])
-    back = stats.inverse(out[0].states)
+    stats = NormStats.fit([traj])
+    back = stats.inverse(stats.forward(traj.states))
     assert np.max(np.abs(back - traj.states)) < 1e-10
 
 
 def test_norm_stats_dict_round_trip():
-    _, stats = normalize([make_traj(np.random.default_rng(3).standard_normal((9, 3)), mu=0.0)])
+    stats = NormStats.fit([make_traj(np.random.default_rng(3).standard_normal((9, 3)), mu=0.0)])
     again = NormStats.from_dict(stats.to_dict())
     np.testing.assert_array_equal(stats.mean, again.mean)
     np.testing.assert_array_equal(stats.std, again.std)
@@ -236,3 +237,29 @@ def test_trajectory_file_trailing_bytes_names_path(tmp_path):
     with pytest.raises(ValueError, match="trailing bytes") as err:
         read_trajectory(path)
     assert str(path) in str(err.value)
+
+
+SIGNALLING_NAN = b"\x01\x00\x80\x7f"  # float32 0x7f800001, little-endian
+
+
+def test_trajectory_file_non_finite_payload_names_path(tmp_path):
+    path = tmp_path / "nan.updr"
+    write_trajectory(path, solve_hopf_surrogate(0.3, n_t=20, n_x=8))
+    path.write_bytes(path.read_bytes()[:-4] + SIGNALLING_NAN)
+    with pytest.raises(ValueError, match="non-finite") as err:
+        read_trajectory(path)
+    assert str(path) in str(err.value)
+
+
+def test_trajectory_grid_width_is_the_payload_width(tmp_path):
+    path = tmp_path / "wide.updr"
+    write_trajectory(path, make_traj(np.ones((4, 16)), mu=0.0))
+    sidecar = path.with_suffix(".updr.meta.json")
+    meta = json.loads(sidecar.read_text())
+    assert meta["grid"] == {"length": 1.0, "n_points": 16}
+    meta["grid"] = {"length": 22.0, "n_points": 3}  # contradicts the payload
+    sidecar.write_text(json.dumps(meta))
+    again = read_trajectory(path)
+    assert again.n_xy == 16 and again.length == 22.0
+    sidecar.unlink()
+    assert read_trajectory(path).length == 1.0

@@ -125,6 +125,17 @@ def test_crps_printed_matches_brute_force():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("spread", [0.01, 1.0, 10.0])
+def test_crps_printed_is_the_squared_error_of_the_ensemble_mean(spread):
+    # the pair term is the ensemble variance, so the spread cancels out
+    rng = np.random.default_rng(6)
+    truth = rng.standard_normal((30, 8))
+    centre = truth + rng.standard_normal(truth.shape)  # the ensemble mean misses the truth
+    ens = centre + spread * rng.standard_normal((16, *truth.shape))
+    expected = np.mean((ens.mean(axis=0) - truth) ** 2)
+    assert crps(ens, truth, form="printed") == pytest.approx(expected, rel=1e-12)
+
+
 def test_crps_abs_matches_brute_force():
     rng = np.random.default_rng(5)
     ens = rng.standard_normal((6, 4))

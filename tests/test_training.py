@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import romuq
-from romuq.datagen import Grid, NormStats, ParamPoint, Trajectory
+from romuq.datagen import NormStats, ParamPoint, Trajectory
 from romuq.tensor import NonFiniteError
 from romuq.training import (LossWeights, ModelCheckpoint, TrainConfig,
                             TrainingDiverged, predict_rollout, retrain,
@@ -36,7 +36,7 @@ def tiny_dataset(n_traj=2, n_t=30, n_xy=8, seed=0):
         t = np.arange(n_t)[:, None] * 0.3
         x = np.arange(n_xy)[None, :]
         states = np.sin(t + phase) * np.cos(2 * np.pi * x / n_xy) + 0.1 * i
-        out.append(Trajectory(states=states, dt=0.3, grid=Grid(1.0, n_xy),
+        out.append(Trajectory(states=states, dt=0.3, length=1.0,
                               param=ParamPoint.of(mu=0.2 * (i + 1))))
     return out
 

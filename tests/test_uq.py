@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from romuq.datagen import Grid, NormStats, ParamPoint, Trajectory
+from romuq.datagen import NormStats, ParamPoint, Trajectory
 from romuq.metrics import BLOCK_ROWS, crps, write_param_csv
 from romuq.training import ModelCheckpoint, TrainConfig, train
 from romuq.transformer import LatentTransformer, TransformerConfig
