@@ -336,8 +336,9 @@ def _read_exact(f, n: int, path) -> bytes:
 
 def read_trajectory(path) -> Trajectory:
     """Load a file written by :func:`write_trajectory`; a truncated file,
-    one with bytes after the payload or a non-finite value in it, or a
-    malformed ``.meta.json`` sidecar raises ValueError naming the path.
+    one with bytes after the payload, fewer than two steps or a non-finite
+    value in it, or a malformed ``.meta.json`` sidecar raises ValueError
+    naming the path.
     Only the sidecar's grid ``length`` is read (1.0 without a sidecar)."""
     path = Path(path)
     with open(path, "rb") as f:
@@ -374,5 +375,8 @@ def read_trajectory(path) -> Trajectory:
     if meta_path.exists():
         with json_object(meta_path) as meta:
             length = meta["grid"]["length"]
-    return Trajectory(states=states, dt=dt, length=length,
-                      param=ParamPoint.of(**params))
+    try:
+        return Trajectory(states=states, dt=dt, length=length,
+                          param=ParamPoint.of(**params))
+    except ValueError as exc:  # too few steps or a non-finite parameter
+        raise ValueError(f"{exc} in {path}") from None

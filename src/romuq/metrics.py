@@ -11,7 +11,7 @@ SCALED_MSE_EPS = 1e-8
 # Decoded rows (one member's snapshot at one time step) per block of the
 # second pass and of crps: their temporaries stay a few MB, whatever the
 # ensemble size and the number of steps.
-BLOCK_ROWS = 2048
+BLOCK_ROWS = 512
 
 
 class ZeroVarianceError(ValueError):

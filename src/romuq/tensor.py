@@ -356,18 +356,23 @@ def tensor_mean(a: Tensor, axis: Optional[int] = None) -> Tensor:
 
 
 def backward(tape: Tape, loss: Tensor):
-    """Populate ``grad`` on every requires_grad tensor reachable from loss."""
+    """Populate ``grad`` on every requires_grad tensor reachable from loss.
+
+    Consumes the tape: each entry, once its gradient has been passed back,
+    keeps only its ``name``, and its output drops its gradient, so the
+    activations and intermediate gradients are freed as the replay goes.
+    Call it once per tape."""
     if loss.data.ndim != 0 and loss.size != 1:
         raise ShapeError("backward", loss.shape)
     loss.accumulate_grad(np.ones_like(loss.data))
     for entry in reversed(tape.ops):
-        g = entry.output.grad
-        if g is None:
-            continue
-        grads = entry.backward_fn(g)
-        for t, gi in zip(entry.inputs, grads):
-            if t.requires_grad and gi is not None:
-                t.accumulate_grad(gi)
+        out, inputs, fn = entry.output, entry.inputs, entry.backward_fn
+        entry.output = entry.inputs = entry.backward_fn = None
+        g, out.grad = out.grad, None
+        if g is not None:
+            for t, gi in zip(inputs, fn(g)):
+                if t.requires_grad and gi is not None:
+                    t.accumulate_grad(gi)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:

@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -310,8 +311,14 @@ def test_malformed_inputs_exit_5_naming_the_file(runner, tmp_path):
     good = traj.read_bytes()
     huge_n_t = good[:8] + (2 ** 62).to_bytes(8, "little") + good[16:]
     nan_payload = good[:-4] + b"\x01\x00\x80\x7f"  # a float32 signalling NaN
+    n_t, n_xy = struct.unpack("<QQ", good[8:24])
+    header = len(good) - 4 * n_t * n_xy
+    one_step = good[:8] + (1).to_bytes(8, "little") + good[16:header + 4 * n_xy]
+    mu = good.index(b"\x02\x00mu") + 4  # the value after the name "mu"
+    nan_mu = good[:mu] + struct.pack("<d", float("nan")) + good[mu + 8:]
     for content, message in ((good[:-4], "truncated"), (good + b"\0", "trailing"),
-                             (huge_n_t, "truncated"), (nan_payload, "non-finite")):
+                             (huge_n_t, "truncated"), (nan_payload, "non-finite"),
+                             (one_step, "n_t>=2"), (nan_mu, "non-finite parameter mu")):
         traj.write_bytes(content)
         for args in commands + [["report", "--out", str(data)]]:
             assert_exit_5(args, traj, message)

@@ -203,7 +203,7 @@ def test_crps_blocks_are_bit_identical_to_one_pass(form, shape):
 
 
 @pytest.mark.parametrize("n_t", [0, 1, 2, 3, 127, 128, 129, 130, 300])
-@pytest.mark.parametrize("n", [2, 16, 64, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n", [2, 16, 64, BLOCK_ROWS + 1, 4 * BLOCK_ROWS + 1])
 def test_time_blocks_cover_the_steps_with_no_lone_step(n_t, n):
     blocks = time_blocks(n_t, n)
     steps = [t for s in blocks for t in range(n_t)[s]]

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -332,6 +333,32 @@ def test_training_step_records_every_op_by_a_primitive():
         backward(tape, loss)
     assert len(tape) == 83
     assert {entry.name for entry in tape.ops} <= PRIMITIVE_LABELS
+
+
+def test_backward_frees_the_tape_as_it_goes():
+    """A Hopf-size training step (batch 32): backward releases each tape
+    entry once it has used it, so its peak stays near the forward pass's
+    live memory and only the parameter gradients outlive it."""
+    from romuq.config import LossWeights
+    from romuq.training import total_loss
+
+    vae, transformer = hopf_adapt_models()
+    rng = np.random.default_rng(3)
+    args = (rng.standard_normal((32, 10, 64)), rng.standard_normal((32, 10, 64)),
+            rng.standard_normal((32, 2)), LossWeights(), rng.standard_normal((32, 10, 4)))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss, _ = total_loss(vae, transformer, *args)
+            forward_live = tracemalloc.get_traced_memory()[0]
+            backward(tape, loss)
+        after_live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    params = vae.named_parameters() + transformer.named_parameters()
+    grads = sum(p.grad.nbytes for _, p in params if p.grad is not None)
+    assert peak <= 1.25 * forward_live, (peak, forward_live)
+    assert after_live <= grads + 0.25 * 2**20, (after_live, grads)
 
 
 def test_reshape_to_an_impossible_shape_raises_shape_error():
