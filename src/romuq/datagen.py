@@ -4,7 +4,6 @@ even/odd splitting, normalisation and the on-disk trajectory format."""
 from __future__ import annotations
 
 import json
-import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -15,6 +14,11 @@ import numpy as np
 
 MAGIC = b"UPDR"
 FORMAT_VERSION = 1
+# A .updr file is this header (magic, format version, n_t, n_xy, dt and the
+# parameter count), then per parameter a NAME_LEN-sized byte count, the UTF-8
+# name and its VALUE, then the n_t * n_xy float32 states, all little-endian.
+HEADER = struct.Struct("<4sIQQdI")
+NAME_LEN, VALUE = struct.Struct("<H"), struct.Struct("<d")
 
 
 class SolverError(RuntimeError):
@@ -32,7 +36,7 @@ class ParamPoint:
     values: tuple = ()
 
     @classmethod
-    def of(cls, **kwargs) -> "ParamPoint":
+    def of(cls, /, **kwargs) -> "ParamPoint":
         for k, v in kwargs.items():
             if not np.isfinite(v):
                 raise ValueError(f"non-finite parameter {k}={v}")
@@ -62,8 +66,8 @@ class Trajectory:
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=np.float64)
-        if self.states.ndim != 2 or self.states.shape[0] < 2:
-            raise ValueError(f"states must be (n_t>=2, n_xy), got {self.states.shape}")
+        if self.states.ndim != 2 or self.states.shape[0] < 2 or self.states.shape[1] < 1:
+            raise ValueError(f"states must be (n_t>=2, n_xy>=1), got {self.states.shape}")
         if not np.all(np.isfinite(self.states)):
             raise ValueError("non-finite states")
 
@@ -276,19 +280,11 @@ def write_trajectory(path, traj: Trajectory):
     """Bit-exact binary trajectory file plus a human-readable .meta.json."""
     path = Path(path)
     params = traj.param.values
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<Q", traj.n_t))
-        f.write(struct.pack("<Q", traj.n_xy))
-        f.write(struct.pack("<d", traj.dt))
-        f.write(struct.pack("<I", len(params)))
-        for name, value in params:
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<d", value))
-        f.write(traj.states.astype("<f4").tobytes())
+    parts = [HEADER.pack(MAGIC, FORMAT_VERSION, traj.n_t, traj.n_xy, traj.dt, len(params))]
+    for name, value in params:
+        encoded = name.encode("utf-8")
+        parts += [NAME_LEN.pack(len(encoded)), encoded, VALUE.pack(value)]
+    path.write_bytes(b"".join(parts + [traj.states.astype("<f4").tobytes()]))
     meta = {
         "format_version": FORMAT_VERSION,
         "n_t": traj.n_t,
@@ -326,47 +322,40 @@ def json_object(path):
         raise ValueError(f"{path} lacks the key {exc}") from exc
 
 
-def _read_exact(f, n: int, path) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated trajectory file {path}: "
-                         f"needs {n} more bytes, has {len(data)}")
-    return data
-
-
 def read_trajectory(path) -> Trajectory:
-    """Load a file written by :func:`write_trajectory`; a truncated file,
-    one with bytes after the payload, fewer than two steps or a non-finite
-    value in it, or a malformed ``.meta.json`` sidecar raises ValueError
-    naming the path.
+    """Load a file written by :func:`write_trajectory`. A file shorter than
+    its header's counts need (checked before anything is allocated), with
+    bad magic, another format version, bytes after the payload, fewer than
+    two steps, zero width, a non-UTF-8 parameter name or a non-finite value,
+    or a malformed ``.meta.json`` sidecar raises ValueError naming the path.
     Only the sidecar's grid ``length`` is read (1.0 without a sidecar)."""
     path = Path(path)
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r} in {path}")
-        version, = struct.unpack("<I", _read_exact(f, 4, path))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {version} in {path}")
-        n_t, n_xy = struct.unpack("<QQ", _read_exact(f, 16, path))
-        dt, = struct.unpack("<d", _read_exact(f, 8, path))
-        n_params, = struct.unpack("<I", _read_exact(f, 4, path))
-        params = {}
-        for _ in range(n_params):
-            name_len, = struct.unpack("<H", _read_exact(f, 2, path))
-            name = _read_exact(f, name_len, path).decode("utf-8")
-            value, = struct.unpack("<d", _read_exact(f, 8, path))
-            params[name] = value
-        # Size the payload against the file before reading it, so corrupted
-        # count fields cannot ask for an impossible allocation.
-        need = n_t * n_xy * 4
-        have = os.fstat(f.fileno()).st_size - f.tell()
-        if have < need:
+    raw, offset = path.read_bytes(), 0
+
+    def take(n: int) -> bytes:
+        nonlocal offset
+        if len(raw) - offset < n:
             raise ValueError(f"truncated trajectory file {path}: "
-                             f"needs {need} more bytes, has {have}")
-        if have > need:
-            raise ValueError(f"trailing bytes after the payload in {path}")
-        payload = np.frombuffer(f.read(need), dtype="<f4")
+                             f"needs {n} more bytes, has {len(raw) - offset}")
+        offset += n
+        return raw[offset - n:offset]
+
+    magic, version, n_t, n_xy, dt, n_params = HEADER.unpack(take(HEADER.size))
+    if magic != MAGIC:
+        raise ValueError(f"bad magic {magic!r} in {path}")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported format version {version} in {path}")
+    params = {}
+    for _ in range(n_params):
+        name = take(*NAME_LEN.unpack(take(NAME_LEN.size)))
+        try:
+            name = name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"parameter name {name!r} is not UTF-8 in {path}") from None
+        params[name], = VALUE.unpack(take(VALUE.size))
+    payload = np.frombuffer(take(4 * n_t * n_xy), dtype="<f4")
+    if offset != len(raw):
+        raise ValueError(f"trailing bytes after the payload in {path}")
     if not np.all(np.isfinite(payload)):  # checked before a cast that would warn
         raise ValueError(f"non-finite states in {path}")
     states = payload.reshape(n_t, n_xy).astype(np.float64)

@@ -3,8 +3,8 @@ and replay-based retraining."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate, zip_longest
 from pathlib import Path
 from typing import Sequence
 
@@ -84,10 +84,13 @@ class ModelCheckpoint:
     def named_parameters(self):
         return self.vae.named_parameters() + self.transformer.named_parameters()
 
+    def weight_list(self) -> list:
+        """The manifest's ``weights``: name and shape, in ``weights.bin``'s order."""
+        return [{"name": n, "shape": list(p.data.shape)} for n, p in self.named_parameters()]
+
     def save(self, directory):
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        named = self.named_parameters()
         write_json(directory / "manifest.json", {
             "format_version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
@@ -95,54 +98,48 @@ class ModelCheckpoint:
             "seed": self.seed,
             "lineage": self.lineage,
             "loss_curve": self.loss_curve,
-            "weights": [{"name": n, "shape": list(p.data.shape)} for n, p in named],
+            "weights": self.weight_list(),
         })
-        with open(directory / "weights.bin", "wb") as f:
-            for _, p in named:
-                f.write(p.data.astype("<f8").tobytes())
+        (directory / "weights.bin").write_bytes(
+            b"".join(p.data.astype("<f8").tobytes() for _, p in self.named_parameters()))
 
     @classmethod
     def load(cls, directory) -> "ModelCheckpoint":
-        """Rebuild a saved checkpoint; a manifest that is not JSON, lacks a
-        key or a model weight, or is of another format version, or a weights
-        file that does not hold exactly the manifest's weights, raises
-        ValueError naming the file."""
+        """Rebuild a saved checkpoint. A manifest that is not JSON, lacks a key,
+        is of another format version, has a seed that is not an integer >= 0,
+        ``stats`` of another length than ``state_dim`` or a ``weights`` list not
+        equal to the model's, in order, or a weights file not of those weights'
+        size, raises ValueError naming the file."""
         directory = Path(directory)
-        with json_object(directory / "manifest.json") as manifest:
+        path = directory / "manifest.json"
+        with json_object(path) as manifest:
             version = manifest.get("format_version")
             if version != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint format_version {version!r} "
-                                 f"in {directory / 'manifest.json'}")
-            raw = (directory / "weights.bin").read_bytes()
-            shapes = [tuple(entry["shape"]) for entry in manifest["weights"]]
-            expected = 8 * sum(math.prod(shape) for shape in shapes)
-            if len(raw) != expected:
-                raise ValueError(f"{directory / 'weights.bin'} holds {len(raw)} bytes; "
-                                 f"the manifest's weight shapes need {expected}")
+                raise ValueError(f"unsupported checkpoint format_version {version!r} in {path}")
             config = parse(TrainConfig, manifest["config"], "config", derived=True)
-            rng = np.random.default_rng(manifest["seed"])
-            vae = Vae(config.vae, rng)
-            transformer = LatentTransformer(config.transformer, rng)
-            ckpt = cls(vae=vae, transformer=transformer, config=config,
-                       stats=NormStats.from_dict(manifest["stats"]),
-                       seed=manifest["seed"], lineage=manifest["lineage"],
-                       loss_curve=manifest["loss_curve"])
-            params = dict(ckpt.named_parameters())
-            missing = sorted(set(params) - {entry["name"] for entry in manifest["weights"]})
-            if missing:
-                raise ValueError(f"{directory / 'manifest.json'} lacks the model "
-                                 f"weights {missing}")
-            offset = 0
-            for entry, shape in zip(manifest["weights"], shapes):
-                p = params.get(entry["name"])
-                if p is None or p.shape != shape:
-                    raise ValueError(f"weight {entry['name']!r} of shape {shape} in "
-                                     f"{directory / 'manifest.json'} does not fit the model")
-                count = math.prod(shape)
-                p.data = np.frombuffer(raw, dtype="<f8", count=count,
-                                       offset=offset).reshape(shape).copy()
-                offset += count * 8
-            return ckpt
+            seed = manifest["seed"]
+            if type(seed) is not int or seed < 0:
+                raise ValueError(f"seed {seed!r} in {path} is not a non-negative integer")
+            rng = np.random.default_rng(seed)
+            ckpt = cls(vae=Vae(config.vae, rng),
+                       transformer=LatentTransformer(config.transformer, rng), config=config,
+                       stats=NormStats.from_dict(manifest["stats"]), seed=seed,
+                       lineage=manifest["lineage"], loss_curve=manifest["loss_curve"])
+            if any(a.shape != (config.vae.state_dim,) for a in vars(ckpt.stats).values()):
+                raise ValueError(f"stats in {path} are not of length {config.vae.state_dim}")
+            for listed, wanted in zip_longest(manifest["weights"], ckpt.weight_list()):
+                if listed != wanted:
+                    raise ValueError(f"{path} does not fit the model: it lists the weight "
+                                     f"{listed} where the model has {wanted}")
+        raw = (directory / "weights.bin").read_bytes()
+        named = ckpt.named_parameters()
+        sizes = [p.data.size for _, p in named]
+        if len(raw) != 8 * sum(sizes):
+            raise ValueError(f"{directory / 'weights.bin'} holds {len(raw)} bytes; "
+                             f"the manifest's weights need {8 * sum(sizes)}")
+        for (_, p), start in zip(named, accumulate(sizes, initial=0)):
+            p.data = np.frombuffer(raw, "<f8", p.data.size, 8 * start).reshape(p.data.shape).copy()
+        return ckpt
 
 
 def extract_windows(trajs: Sequence[Trajectory], q: int, h: int):

@@ -316,9 +316,12 @@ def test_malformed_inputs_exit_5_naming_the_file(runner, tmp_path):
     one_step = good[:8] + (1).to_bytes(8, "little") + good[16:header + 4 * n_xy]
     mu = good.index(b"\x02\x00mu") + 4  # the value after the name "mu"
     nan_mu = good[:mu] + struct.pack("<d", float("nan")) + good[mu + 8:]
+    zero_width = good[:16] + (0).to_bytes(8, "little") + good[24:header]
+    bad_name = good[:mu - 2] + b"\xffu" + good[mu:]
     for content, message in ((good[:-4], "truncated"), (good + b"\0", "trailing"),
                              (huge_n_t, "truncated"), (nan_payload, "non-finite"),
-                             (one_step, "n_t>=2"), (nan_mu, "non-finite parameter mu")):
+                             (one_step, "n_t>=2"), (nan_mu, "non-finite parameter mu"),
+                             (zero_width, "n_xy>=1"), (bad_name, "not UTF-8")):
         traj.write_bytes(content)
         for args in commands + [["report", "--out", str(data)]]:
             assert_exit_5(args, traj, message)
@@ -336,6 +339,17 @@ def test_malformed_inputs_exit_5_naming_the_file(runner, tmp_path):
         assert_exit_5(args, manifest, "format_version")
     manifest.write_text(manifest.read_text().replace('"format_version": 2',
                                                      '"format_version": 1'))
+
+    # a seed that is not an integer, stats narrower than the state
+    text = manifest.read_text()
+    float_seed, short_stats = json.loads(text), json.loads(text)
+    float_seed["seed"] = 0.5
+    short_stats["stats"]["std"].pop()
+    for entries, message in ((float_seed, "seed"), (short_stats, "stats")):
+        manifest.write_text(json.dumps(entries))
+        for args in commands:
+            assert_exit_5(args, manifest, message)
+    manifest.write_text(text)
 
     # a manifest or sidecar without one of its keys, or that is not JSON
     sidecar = data / "hopf_mu0.3.updr.meta.json"

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from romuq.datagen import (NormStats, ParamPoint, SolverError,
                            Trajectory, read_trajectory, solve_ks,
@@ -201,20 +204,42 @@ def test_trajectory_file_bytes_deterministic(tmp_path):
     assert (tmp_path / "a.updr").read_bytes()[:4] == b"UPDR"
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 6).flatmap(lambda n_t: st.integers(1, 5).flatmap(
+           lambda n_xy: hnp.arrays(np.float32, (n_t, n_xy),
+                                   elements=st.floats(width=32, allow_nan=False,
+                                                      allow_infinity=False)))),
+       st.dictionaries(st.text(max_size=6), st.floats(allow_nan=False, allow_infinity=False),
+                       max_size=3),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_trajectory_file_round_trip_is_exact(tmp_path_factory, states, params, dt):
+    traj = make_traj(states, dt=dt, **params)
+    path = tmp_path_factory.mktemp("rt") / "traj.updr"
+    write_trajectory(path, traj)
+    raw = path.read_bytes()
+    again = read_trajectory(path)
+    assert again.states.tobytes() == traj.states.tobytes()  # keeps -0.0 apart
+    assert (again.dt, again.length, again.param) == (traj.dt, traj.length, traj.param)
+    write_trajectory(path, again)
+    assert path.read_bytes() == raw
+
+
 def test_trajectory_file_bad_magic(tmp_path):
     path = tmp_path / "bad.updr"
     path.write_bytes(b"NOPE" + bytes(64))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad magic") as err:
         read_trajectory(path)
+    assert str(path) in str(err.value)
 
 
 def test_trajectory_file_truncated_payload_names_path(tmp_path):
     path = tmp_path / "short.updr"
-    write_trajectory(path, solve_hopf_surrogate(0.3, n_t=20, n_x=8))
+    write_trajectory(path, make_traj(np.ones((2, 3)), mu=0.5, omega=1.0))
     raw = path.read_bytes()
-    for cut in (1, 4 * 8, len(raw) - 30):  # inside the payload and the header
-        path.write_bytes(raw[:-cut])
-        with pytest.raises(ValueError, match="truncated") as err:
+    for cut in range(len(raw)):  # every strict prefix: header, names, values, payload
+        path.write_bytes(raw[:cut])
+        # anchored: the test's tmp_path holds the word "truncated" too
+        with pytest.raises(ValueError, match="^truncated trajectory file") as err:
             read_trajectory(path)
         assert str(path) in str(err.value)
 

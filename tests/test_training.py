@@ -268,6 +268,37 @@ def test_checkpoint_load_refuses_weight_shapes_the_model_lacks(tmp_path):
         ModelCheckpoint.load(ck)
 
 
+def test_checkpoint_load_refuses_the_weights_in_another_order(tmp_path):
+    ck = saved_checkpoint(tmp_path)
+    manifest = json.loads((ck / "manifest.json").read_text())
+    weights = manifest["weights"]
+    weights[0], weights[1] = weights[1], weights[0]
+    (ck / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="does not fit") as err:
+        ModelCheckpoint.load(ck)
+    assert weights[1]["name"] in str(err.value) and "manifest.json" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["mean", "std", "floored"])
+def test_checkpoint_load_refuses_stats_of_another_length(tmp_path, key):
+    ck = saved_checkpoint(tmp_path)
+    manifest = json.loads((ck / "manifest.json").read_text())
+    manifest["stats"][key].pop()
+    (ck / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="stats in .*manifest.json are not of length"):
+        ModelCheckpoint.load(ck)
+
+
+@pytest.mark.parametrize("seed", [1.5, "5", None, True, -1])
+def test_checkpoint_load_refuses_a_seed_that_is_not_a_natural_number(tmp_path, seed):
+    ck = saved_checkpoint(tmp_path)
+    manifest = json.loads((ck / "manifest.json").read_text())
+    manifest["seed"] = seed
+    (ck / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="seed .* in .*manifest.json"):
+        ModelCheckpoint.load(ck)
+
+
 # ---------------------------------------------------------------- determinism
 
 TRAIN_AND_SAVE = """
