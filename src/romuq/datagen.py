@@ -170,13 +170,12 @@ def solve_ks(nu: float, n_x: int = 64, domain_length: float = 22.0,
 
 
 def stuart_landau(mu: float, omega: float, dt: float, n_t: int,
-                  init_amplitude: float, c: float = 0.0) -> np.ndarray:
-    """RK4 integration of dA/dt = (mu + i omega) A - (1 + i c) |A|^2 A."""
+                  init_amplitude: float) -> np.ndarray:
+    """RK4 integration of dA/dt = (mu + i omega) A - |A|^2 A."""
     coef_lin = complex(mu, omega)
-    coef_cub = complex(1.0, c)
 
     def f(a):
-        return coef_lin * a - coef_cub * (a.real ** 2 + a.imag ** 2) * a
+        return coef_lin * a - (a.real ** 2 + a.imag ** 2) * a
 
     a = complex(init_amplitude, 0.0)
     out = np.empty(n_t, dtype=complex)

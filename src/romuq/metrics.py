@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SCALED_MSE_EPS = 1e-8
-
 # Decoded rows (one member's snapshot at one time step) per block of the
 # second pass and of crps: their temporaries stay a few MB, whatever the
 # ensemble size and the number of steps.
@@ -36,11 +34,11 @@ def relative_mse(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.sum((pred - truth) ** 2) / denom * 100.0)
 
 
-def scaled_mse(pred: np.ndarray, truth: np.ndarray, eps: float = SCALED_MSE_EPS):
+def scaled_mse(pred: np.ndarray, truth: np.ndarray):
     """Per-point temporal MSE scaled by the squared temporal range.
 
     Returns (per-point map over space, mean over space). Points whose truth
-    signal is constant fall back to the eps floor in the denominator.
+    signal is constant fall back to a 1e-8 floor in the denominator.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -48,7 +46,7 @@ def scaled_mse(pred: np.ndarray, truth: np.ndarray, eps: float = SCALED_MSE_EPS)
         raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
     mse_d = np.mean((pred - truth) ** 2, axis=0)
     rng_d = truth.max(axis=0) - truth.min(axis=0)
-    per_point = mse_d / (rng_d ** 2 + eps)
+    per_point = mse_d / (rng_d ** 2 + 1e-8)
     return per_point, float(per_point.mean())
 
 

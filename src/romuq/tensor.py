@@ -247,14 +247,14 @@ def softmax(a: Tensor) -> Tensor:
     return _record("softmax", (a,), out, bwd)
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-9) -> Tensor:
-    """Normalise the last axis to zero mean and unit variance, then scale by
-    ``gamma`` and shift by ``beta``."""
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalise the last axis to zero mean and unit variance (1e-9 is added
+    to the variance), then scale by ``gamma`` and shift by ``beta``."""
     x = a.data
     n = x.shape[-1]
     xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-9)
     norm = xc * inv
 
     def bwd(g):

@@ -107,9 +107,10 @@ class ModelCheckpoint:
     def load(cls, directory) -> "ModelCheckpoint":
         """Rebuild a saved checkpoint. A manifest that is not JSON, lacks a key,
         is of another format version, has a seed that is not an integer >= 0,
-        ``stats`` of another length than ``state_dim`` or a ``weights`` list not
-        equal to the model's, in order, or a weights file not of those weights'
-        size, raises ValueError naming the file."""
+        ``stats`` that are not finite numbers of length ``state_dim`` with a
+        positive ``std``, or ``weights`` that are not a list equal to the
+        model's, in order, or a weights file not of those weights' size,
+        raises ValueError naming the file."""
         directory = Path(directory)
         path = directory / "manifest.json"
         with json_object(path) as manifest:
@@ -120,13 +121,21 @@ class ModelCheckpoint:
             seed = manifest["seed"]
             if type(seed) is not int or seed < 0:
                 raise ValueError(f"seed {seed!r} in {path} is not a non-negative integer")
+            try:
+                stats = NormStats.from_dict(manifest["stats"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"stats in {path} are not numbers: {exc}") from exc
+            if any(a.shape != (config.vae.state_dim,) for a in vars(stats).values()):
+                raise ValueError(f"stats in {path} are not of length {config.vae.state_dim}")
+            if not (np.isfinite([stats.mean, stats.std]).all() and (stats.std > 0).all()):
+                raise ValueError(f"stats in {path} are not finite with a positive std")
+            if not isinstance(manifest["weights"], list):
+                raise ValueError(f"weights in {path} are not a list")
             rng = np.random.default_rng(seed)
             ckpt = cls(vae=Vae(config.vae, rng),
                        transformer=LatentTransformer(config.transformer, rng), config=config,
-                       stats=NormStats.from_dict(manifest["stats"]), seed=seed,
+                       stats=stats, seed=seed,
                        lineage=manifest["lineage"], loss_curve=manifest["loss_curve"])
-            if any(a.shape != (config.vae.state_dim,) for a in vars(ckpt.stats).values()):
-                raise ValueError(f"stats in {path} are not of length {config.vae.state_dim}")
             for listed, wanted in zip_longest(manifest["weights"], ckpt.weight_list()):
                 if listed != wanted:
                     raise ValueError(f"{path} does not fit the model: it lists the weight "

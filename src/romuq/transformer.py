@@ -132,15 +132,15 @@ class LatentTransformer:
     def condition(self, xi, batch: int) -> list:
         """Each block's cross-attention output for the parameters ``xi``.
         It depends on the weights, so it is rebuilt per call, never kept."""
-        c = self.config
-        xi_tokens = T.reshape(T.linear(param_rows(xi, batch, c.param_dim), self.xi_proj),
-                              (batch, 1, c.width))
+        rows = param_rows(xi, batch, self.config.param_dim)[:, None]  # (B, 1, param_dim)
+        xi_tokens = T.linear(Tensor(rows), self.xi_proj)
         return [block.condition(xi_tokens) for block in self.blocks]
 
     def forecast(self, window: Union[np.ndarray, Tensor], xi, cond=None) -> Tensor:
         """Predict the next ``horizon`` latent vectors, shape (B, h, Z).
         ``cond`` is :meth:`condition` of ``xi`` at this batch, built here
-        when not given."""
+        when not given. Products over the batch rows run per sample, on
+        ``(B, 1, n)`` stacks, so a forecast never depends on its batch."""
         c = self.config
         x = window if isinstance(window, Tensor) else Tensor(np.asarray(window))
         if x.data.ndim == 2:
@@ -156,8 +156,7 @@ class LatentTransformer:
             h = block(h, block_cond)
         # only the last position feeds the head, so the final block computes no other
         last = self.blocks[-1](h, cond[-1], last_only=True)
-        out = T.linear(T.reshape(last, (batch, c.width)), self.out_head)
-        return T.reshape(out, (batch, c.horizon, c.latent_dim))
+        return T.reshape(T.linear(last, self.out_head), (batch, c.horizon, c.latent_dim))
 
 
 @np.errstate(all="ignore")  # the tape reports non-finite values, by op

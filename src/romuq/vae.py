@@ -28,14 +28,14 @@ class LatentDistribution:
         return np.exp(0.5 * self.log_var.data)
 
 
-def param_rows(xi, batch: int, param_dim: int) -> Tensor:
+def param_rows(xi, batch: int, param_dim: int) -> np.ndarray:
     """External parameters as ``(batch, param_dim)`` model input. A
     ParamPoint or a single vector is repeated on every row; a 2-D array is
     used as given."""
     arr = xi.vector() if isinstance(xi, ParamPoint) else np.asarray(xi, dtype=np.float64)
     if arr.shape[-1:] != (param_dim,):
         raise T.ShapeError("xi", arr.shape, (param_dim,))
-    return Tensor(np.tile(arr, (batch, 1)) if arr.ndim == 1 else arr)
+    return np.tile(arr, (batch, 1)) if arr.ndim == 1 else arr
 
 
 class Vae:
@@ -66,7 +66,7 @@ class Vae:
     # ------------------------------------------------------------------
 
     def embed_xi(self, xi, batch: int) -> Tensor:
-        return T.linear(param_rows(xi, batch, self.config.param_dim), self.xi_embed)
+        return T.linear(Tensor(param_rows(xi, batch, self.config.param_dim)), self.xi_embed)
 
     def encode(self, phi: Union[np.ndarray, Tensor], xi) -> LatentDistribution:
         """Map normalised snapshots (B, state_dim) to latent Gaussians."""

@@ -340,12 +340,20 @@ def test_malformed_inputs_exit_5_naming_the_file(runner, tmp_path):
     manifest.write_text(manifest.read_text().replace('"format_version": 2',
                                                      '"format_version": 1'))
 
-    # a seed that is not an integer, stats narrower than the state
+    # a seed that is not an integer; stats narrower than the state, not
+    # numbers, not finite or with a zero std; weights that are not a list
     text = manifest.read_text()
-    float_seed, short_stats = json.loads(text), json.loads(text)
+    float_seed, short_stats, text_mean, null_mean, zero_std, int_weights = (
+        json.loads(text) for _ in range(6))
     float_seed["seed"] = 0.5
     short_stats["stats"]["std"].pop()
-    for entries, message in ((float_seed, "seed"), (short_stats, "stats")):
+    text_mean["stats"]["mean"] = "abc"
+    null_mean["stats"]["mean"][0] = None
+    zero_std["stats"]["std"] = [0.0] * len(zero_std["stats"]["std"])
+    int_weights["weights"] = 3
+    for entries, message in ((float_seed, "seed"), (short_stats, "stats"),
+                             (text_mean, "not numbers"), (null_mean, "not finite"),
+                             (zero_std, "positive std"), (int_weights, "not a list")):
         manifest.write_text(json.dumps(entries))
         for args in commands:
             assert_exit_5(args, manifest, message)

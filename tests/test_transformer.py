@@ -1,3 +1,4 @@
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -157,12 +158,14 @@ def multi_head_attention(block, q_in, kv_in, proj_q, proj_k, proj_v, proj_o,
 def cross_attention_forecast(model, window, xi):
     """The forecast with every block's conditioning as general multi-head
     cross-attention from its rows to the parameter token, through the
-    cross_q/cross_k projections that the model itself never reads."""
+    cross_q/cross_k projections that the model itself never reads. The
+    parameter projection and the head run on ``(B, 1, n)`` stacks, as in
+    the model, so that their products sum in the model's order."""
     c = model.config
     batch = window.shape[0]
     named = dict(model.named_parameters())
     h = T.add(T.linear(Tensor(window), model.in_proj), model.pos)
-    xi_tokens = T.reshape(T.linear(Tensor(xi), model.xi_proj), (batch, 1, c.width))
+    xi_tokens = T.linear(Tensor(xi[:, None]), model.xi_proj)
     for i, block in enumerate(model.blocks):
         cq, ck = ((named[f"transformer.block{i}.cross_{p}.w"],
                    named[f"transformer.block{i}.cross_{p}.b"]) for p in "qk")
@@ -175,8 +178,7 @@ def cross_attention_forecast(model, window, xi):
             block, x, xi_tokens, cq, ck, block.cv, block.co)), *block.ln2)
         ff = T.linear(T.gelu(T.linear(x, block.ff1)), block.ff2)
         h = T.layer_norm(T.add(x, ff), *block.ln3)
-    out = T.linear(T.reshape(h, (batch, c.width)), model.out_head)
-    return T.reshape(out, (batch, c.horizon, c.latent_dim))
+    return T.reshape(T.linear(h, model.out_head), (batch, c.horizon, c.latent_dim))
 
 
 @pytest.mark.parametrize("blocks", [1, 2])
@@ -394,6 +396,27 @@ def test_rollout_conditions_once_and_never_reuses_stale_weights(blocks):
         assert again.tobytes() != first.tobytes()
         first = again
     assert calls == [(1, 7)] * 4
+
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_batched_forecast_equals_per_sample_forecasts(blocks, taped):
+    """A forecast over a batch equals the per-sample forecasts bit for bit,
+    so no forecast depends on the batch it is in. This pins a BLAS
+    behaviour: a product over a ``(B, L, n)`` stack gives each sample the
+    rows it gets alone, while a 2-D product sums one row (GEMV in OpenBLAS)
+    in another order than many rows (GEMM). A platform where stacked
+    products differ per sample fails here."""
+    model = sized_checkpoint("hopf_adapt", blocks).transformer
+    rng = np.random.default_rng(16)
+    for batch in (2, 10, 32):
+        window = rng.standard_normal((batch, 10, 4))
+        xi = rng.standard_normal((batch, 2))
+        with Tape() if taped else contextlib.nullcontext():
+            batched = model.forecast(window, xi).data
+            alone = np.concatenate([model.forecast(window[i:i + 1], xi[i:i + 1]).data
+                                    for i in range(batch)])
+        assert batched.tobytes() == alone.tobytes(), batch
 
 
 @pytest.mark.parametrize("axes", [(0, 2, 1, 3), (0, 2, 3, 1)])
