@@ -11,6 +11,7 @@ writes the fully resolved configuration beside its outputs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
@@ -80,6 +81,8 @@ class DatagenSection:
         if self.case not in SOLVER_PARAMS:
             raise ConfigError(f"unknown case {self.case!r}; expected one of "
                               f"{list(SOLVER_PARAMS)}")
+        if not (0 < self.dt < math.inf and 0 < self.domain_length < math.inf):
+            raise ConfigError("dt and domain_length must be finite and positive")
 
 
 @dataclass

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -13,12 +14,13 @@ from typing import Optional
 import numpy as np
 
 MAGIC = b"UPDR"
-FORMAT_VERSION = 1
-# A .updr file is this header (magic, format version, n_t, n_xy, dt and the
+FORMAT_VERSION = 2
+# A .updr file is this header (magic, format version, n_t, n_xy, dt, length,
 # parameter count), then per parameter a NAME_LEN-sized byte count, the UTF-8
 # name and its VALUE, then the n_t * n_xy float32 states, all little-endian.
-HEADER = struct.Struct("<4sIQQdI")
+HEADER = struct.Struct("<4sIQQddI")
 NAME_LEN, VALUE = struct.Struct("<H"), struct.Struct("<d")
+CRC = struct.Struct("<I")  # ends the file: the zlib.crc32 of every byte before it
 
 
 class SolverError(RuntimeError):
@@ -70,6 +72,8 @@ class Trajectory:
             raise ValueError(f"states must be (n_t>=2, n_xy>=1), got {self.states.shape}")
         if not np.all(np.isfinite(self.states)):
             raise ValueError("non-finite states")
+        if not (0 < self.dt < np.inf and 0 < self.length < np.inf):
+            raise ValueError(f"dt {self.dt} and length {self.length} must be finite and positive")
 
     @property
     def n_t(self) -> int:
@@ -276,14 +280,16 @@ class NormStats:
 
 
 def write_trajectory(path, traj: Trajectory):
-    """Bit-exact binary trajectory file plus a human-readable .meta.json."""
+    """Bit-exact binary trajectory file plus a .meta.json that nothing reads."""
     path = Path(path)
     params = traj.param.values
-    parts = [HEADER.pack(MAGIC, FORMAT_VERSION, traj.n_t, traj.n_xy, traj.dt, len(params))]
+    parts = [HEADER.pack(MAGIC, FORMAT_VERSION, traj.n_t, traj.n_xy, traj.dt, traj.length,
+                         len(params))]
     for name, value in params:
         encoded = name.encode("utf-8")
         parts += [NAME_LEN.pack(len(encoded)), encoded, VALUE.pack(value)]
-    path.write_bytes(b"".join(parts + [traj.states.astype("<f4").tobytes()]))
+    body = b"".join(parts + [traj.states.astype("<f4").tobytes()])
+    path.write_bytes(body + CRC.pack(zlib.crc32(body)))
     meta = {
         "format_version": FORMAT_VERSION,
         "n_t": traj.n_t,
@@ -324,10 +330,10 @@ def json_object(path):
 def read_trajectory(path) -> Trajectory:
     """Load a file written by :func:`write_trajectory`. A file shorter than
     its header's counts need (checked before anything is allocated), with
-    bad magic, another format version, bytes after the payload, fewer than
-    two steps, zero width, a non-UTF-8 parameter name or a non-finite value,
-    or a malformed ``.meta.json`` sidecar raises ValueError naming the path.
-    Only the sidecar's grid ``length`` is read (1.0 without a sidecar)."""
+    bad magic, another format version, bytes after the checksum, fewer than
+    two steps, zero width, a non-UTF-8 parameter name, a non-finite value, a
+    step or length that is not positive, or a checksum that does not match
+    raises ValueError naming the path."""
     path = Path(path)
     raw, offset = path.read_bytes(), 0
 
@@ -339,7 +345,7 @@ def read_trajectory(path) -> Trajectory:
         offset += n
         return raw[offset - n:offset]
 
-    magic, version, n_t, n_xy, dt, n_params = HEADER.unpack(take(HEADER.size))
+    magic, version, n_t, n_xy, dt, length, n_params = HEADER.unpack(take(HEADER.size))
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r} in {path}")
     if version != FORMAT_VERSION:
@@ -353,18 +359,16 @@ def read_trajectory(path) -> Trajectory:
             raise ValueError(f"parameter name {name!r} is not UTF-8 in {path}") from None
         params[name], = VALUE.unpack(take(VALUE.size))
     payload = np.frombuffer(take(4 * n_t * n_xy), dtype="<f4")
+    crc, = CRC.unpack(take(CRC.size))
     if offset != len(raw):
-        raise ValueError(f"trailing bytes after the payload in {path}")
+        raise ValueError(f"trailing bytes after the checksum in {path}")
     if not np.all(np.isfinite(payload)):  # checked before a cast that would warn
         raise ValueError(f"non-finite states in {path}")
-    states = payload.reshape(n_t, n_xy).astype(np.float64)
-    meta_path = path.with_suffix(path.suffix + ".meta.json")
-    length = 1.0
-    if meta_path.exists():
-        with json_object(meta_path) as meta:
-            length = meta["grid"]["length"]
     try:
-        return Trajectory(states=states, dt=dt, length=length,
-                          param=ParamPoint.of(**params))
-    except ValueError as exc:  # too few steps or a non-finite parameter
+        traj = Trajectory(states=payload.reshape(n_t, n_xy).astype(np.float64), dt=dt,
+                          length=length, param=ParamPoint.of(**params))
+    except ValueError as exc:  # too few steps, a bad dt or length, a non-finite parameter
         raise ValueError(f"{exc} in {path}") from None
+    if zlib.crc32(raw[:-CRC.size]) != crc:
+        raise ValueError(f"checksum mismatch in {path}")
+    return traj

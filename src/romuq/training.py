@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .config import LossWeights, TrainConfig, parse
+from .config import ConfigError, LossWeights, TrainConfig, parse
 from .datagen import NormStats, ParamPoint, Trajectory, json_object, write_json
 from .errors import NonFiniteError, TrainingDiverged
 from .optim import Adam
@@ -106,18 +106,22 @@ class ModelCheckpoint:
     @classmethod
     def load(cls, directory) -> "ModelCheckpoint":
         """Rebuild a saved checkpoint. A manifest that is not JSON, lacks a key,
-        is of another format version, has a seed that is not an integer >= 0,
-        ``stats`` that are not finite numbers of length ``state_dim`` with a
-        positive ``std``, or ``weights`` that are not a list equal to the
-        model's, in order, or a weights file not of those weights' size,
-        raises ValueError naming the file."""
+        is of another format version, or has an invalid ``config``, a seed
+        that is not an integer >= 0, ``stats`` that are not finite numbers of
+        length ``state_dim`` with a positive ``std``, ``weights`` that are not
+        the model's list, in order, a ``lineage`` not a list of objects or a
+        ``loss_curve`` not a list of finite numbers, or a weights file not of
+        those weights' size, raises ValueError naming the file."""
         directory = Path(directory)
         path = directory / "manifest.json"
         with json_object(path) as manifest:
             version = manifest.get("format_version")
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint format_version {version!r} in {path}")
-            config = parse(TrainConfig, manifest["config"], "config", derived=True)
+            try:
+                config = parse(TrainConfig, manifest["config"], "config", derived=True)
+            except ConfigError as exc:  # a ValueError here: exit 5, not 3
+                raise ValueError(f"config in {path} is invalid: {exc}") from exc
             seed = manifest["seed"]
             if type(seed) is not int or seed < 0:
                 raise ValueError(f"seed {seed!r} in {path} is not a non-negative integer")
@@ -131,11 +135,17 @@ class ModelCheckpoint:
                 raise ValueError(f"stats in {path} are not finite with a positive std")
             if not isinstance(manifest["weights"], list):
                 raise ValueError(f"weights in {path} are not a list")
+            lineage, loss_curve = manifest["lineage"], manifest["loss_curve"]
+            if not (isinstance(lineage, list) and all(isinstance(e, dict) for e in lineage)):
+                raise ValueError(f"lineage in {path} is not a list of objects")
+            if not (isinstance(loss_curve, list) and all(
+                    type(v) in (int, float) and abs(v) < np.inf for v in loss_curve)):
+                raise ValueError(f"loss_curve in {path} is not a list of finite numbers")
             rng = np.random.default_rng(seed)
             ckpt = cls(vae=Vae(config.vae, rng),
                        transformer=LatentTransformer(config.transformer, rng), config=config,
                        stats=stats, seed=seed,
-                       lineage=manifest["lineage"], loss_curve=manifest["loss_curve"])
+                       lineage=lineage, loss_curve=loss_curve)
             for listed, wanted in zip_longest(manifest["weights"], ckpt.weight_list()):
                 if listed != wanted:
                     raise ValueError(f"{path} does not fit the model: it lists the weight "

@@ -172,13 +172,36 @@ def test_invalid_config_exit_code(runner, tmp_path):
                  '{"training": {"replay_fraction": -0.1}}',
                  '{"training": {"replay_fraction": 1.5}}',
                  '{"uq": {"ensemble_n": 1}}', '{"adaptive": {"budget": 0}}',
-                 '{"datagen": {"case": "foo"}}'):
+                 '{"datagen": {"case": "foo"}}', '{"datagen": {"dt": 0}}',
+                 '{"datagen": {"dt": -0.05}}', '{"datagen": {"dt": NaN}}',
+                 '{"datagen": {"domain_length": 0}}',
+                 '{"datagen": {"domain_length": -22.0}}'):
         cfg.write_text(text)
         res = runner.invoke(main, ["generate", "--config", str(cfg),
                                   "--sweep", "mu=0.3", "--out", str(tmp_path / "x")])
         assert res.exit_code == 3, text
         assert "invalid config" in res.output, text
         assert not (tmp_path / "x").exists(), text
+
+
+def test_length_round_trips_through_the_header_alone(runner, tmp_path):
+    # no sidecar is present when any of these files is read
+    cfg = tmp_path / "ks.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONFIG, datagen={"case": "ks", "n_x": 16, "n_t": 20})))
+    res = runner.invoke(main, ["generate", "--config", str(cfg), "--sweep", "nu=1.0",
+                              "--out", str(tmp_path / "ks")])
+    assert res.exit_code == 0, res.output
+    data = run_generate(runner, tmp_path)
+    for sidecar in [*data.glob("*.meta.json"), *(tmp_path / "ks").glob("*.meta.json")]:
+        sidecar.unlink()
+    assert read_trajectory(tmp_path / "ks" / "ks_nu1.updr").length == 22.0
+    assert read_trajectory(data / "hopf_mu0.3.updr").length == 2 * np.pi
+    ckpt = run_train(runner, tmp_path, data)
+    res = runner.invoke(main, ["infer", "--checkpoint", str(ckpt), "--data",
+                              str(data / "hopf_mu0.3.updr"), "--out", str(tmp_path / "infer")])
+    assert res.exit_code == 0, res.output
+    (tmp_path / "infer" / "prediction.updr.meta.json").unlink()
+    assert read_trajectory(tmp_path / "infer" / "prediction.updr").length == 2 * np.pi
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -310,13 +333,14 @@ def test_malformed_inputs_exit_5_naming_the_file(runner, tmp_path):
 
     good = traj.read_bytes()
     huge_n_t = good[:8] + (2 ** 62).to_bytes(8, "little") + good[16:]
-    nan_payload = good[:-4] + b"\x01\x00\x80\x7f"  # a float32 signalling NaN
+    crc = good[-4:]  # the checksum ends the file, after the payload
+    nan_payload = good[:-8] + b"\x01\x00\x80\x7f" + crc  # a float32 signalling NaN
     n_t, n_xy = struct.unpack("<QQ", good[8:24])
-    header = len(good) - 4 * n_t * n_xy
-    one_step = good[:8] + (1).to_bytes(8, "little") + good[16:header + 4 * n_xy]
+    header = len(good) - 4 - 4 * n_t * n_xy
+    one_step = good[:8] + (1).to_bytes(8, "little") + good[16:header + 4 * n_xy] + crc
     mu = good.index(b"\x02\x00mu") + 4  # the value after the name "mu"
     nan_mu = good[:mu] + struct.pack("<d", float("nan")) + good[mu + 8:]
-    zero_width = good[:16] + (0).to_bytes(8, "little") + good[24:header]
+    zero_width = good[:16] + (0).to_bytes(8, "little") + good[24:header] + crc
     bad_name = good[:mu - 2] + b"\xffu" + good[mu:]
     for content, message in ((good[:-4], "truncated"), (good + b"\0", "trailing"),
                              (huge_n_t, "truncated"), (nan_payload, "non-finite"),
@@ -359,18 +383,14 @@ def test_malformed_inputs_exit_5_naming_the_file(runner, tmp_path):
             assert_exit_5(args, manifest, message)
     manifest.write_text(text)
 
-    # a manifest or sidecar without one of its keys, or that is not JSON
-    sidecar = data / "hopf_mu0.3.updr.meta.json"
-    for path, key, cmds in ((manifest, "stats", commands),
-                            (sidecar, "grid", commands + [["report", "--out", str(data)]])):
-        text = path.read_text()
-        for content, message in ((json.dumps({k: v for k, v in json.loads(text).items()
-                                              if k != key}), key),
-                                 ("{", "not valid JSON")):
-            path.write_text(content)
-            for args in cmds:
-                assert_exit_5(args, path, message)
-        path.write_text(text)
+    # a manifest without one of its keys, or that is not JSON
+    for content, message in ((json.dumps({k: v for k, v in json.loads(text).items()
+                                          if k != "stats"}), "stats"),
+                             ("{", "not valid JSON")):
+        manifest.write_text(content)
+        for args in commands:
+            assert_exit_5(args, manifest, message)
+    manifest.write_text(text)
 
     # a checkpoint without its last weight, in the manifest and the weights
     entries = json.loads(manifest.read_text())
@@ -380,6 +400,49 @@ def test_malformed_inputs_exit_5_naming_the_file(runner, tmp_path):
     weights.write_bytes(weights.read_bytes()[:-8 * int(np.prod(dropped["shape"]))])
     for args in commands:
         assert_exit_5(args, manifest, dropped["name"])
+
+
+def test_trajectory_format_1_bad_header_or_checksum_exit_5(runner, tmp_path):
+    data = run_generate(runner, tmp_path)
+    ckpt = run_train(runner, tmp_path, data)
+    traj = data / "hopf_mu0.3.updr"
+    good = traj.read_bytes()
+    # format 1: version 1, no length after dt, no checksum
+    format_1 = good[:4] + struct.pack("<I", 1) + good[8:32] + good[40:-4]
+    zero_dt = good[:24] + struct.pack("<d", 0.0) + good[32:]
+    nan_length = good[:32] + struct.pack("<d", float("nan")) + good[40:]
+    flipped = good[:-8] + bytes([good[-8] ^ 1]) + good[-7:]  # a state's last mantissa bit
+    for content, message in ((format_1, "unsupported format version 1"),
+                             (zero_dt, "must be finite and positive"),
+                             (nan_length, "must be finite and positive"),
+                             (flipped, "checksum mismatch")):
+        traj.write_bytes(content)
+        for args in (["infer", "--checkpoint", str(ckpt), "--data", str(traj),
+                      "--out", str(tmp_path / "out")], ["report", "--out", str(data)]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 5, res.output
+            assert str(traj) in res.output and message in res.output
+
+
+def test_bad_manifest_config_lineage_or_loss_curve_exit_5(runner, tmp_path):
+    data = run_generate(runner, tmp_path)
+    ckpt = run_train(runner, tmp_path, data)
+    manifest = ckpt / "manifest.json"
+    good = json.loads(manifest.read_text())
+    bad_config = copy.deepcopy(good)
+    bad_config["config"]["vae"]["latent_dim"] = "x"
+    cases = [(bad_config, "latent_dim must be of type int")] + [
+        ({**good, key: value}, key)
+        for key, value in (("lineage", 3), ("lineage", [1]), ("loss_curve", "abc"),
+                           ("loss_curve", [0.5, float("nan")]), ("loss_curve", [True]))]
+    for entries, message in cases:
+        manifest.write_text(json.dumps(entries))
+        for args in (["infer", "--checkpoint", str(ckpt), "--data", str(data / "hopf_mu0.3.updr")],
+                     ["adapt", "--config", str(tmp_path / "config.json"),
+                      "--checkpoint", str(ckpt), "--data", str(data)]):
+            res = runner.invoke(main, args + ["--out", str(tmp_path / args[0])])
+            assert res.exit_code == 5, res.output
+            assert str(manifest) in res.output and message in res.output
 
 
 def test_train_divergence_exit_4_naming_epoch_and_step(runner, tmp_path):

@@ -211,9 +211,11 @@ def test_trajectory_file_bytes_deterministic(tmp_path):
                                                       allow_infinity=False)))),
        st.dictionaries(st.text(max_size=6), st.floats(allow_nan=False, allow_infinity=False),
                        max_size=3),
-       st.floats(allow_nan=False, allow_infinity=False))
-def test_trajectory_file_round_trip_is_exact(tmp_path_factory, states, params, dt):
-    traj = make_traj(states, dt=dt, **params)
+       st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+       st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+def test_trajectory_file_round_trip_is_exact(tmp_path_factory, states, params, dt, length):
+    traj = Trajectory(states=states.astype(float), dt=dt, length=length,
+                      param=ParamPoint.of(**params))
     path = tmp_path_factory.mktemp("rt") / "traj.updr"
     write_trajectory(path, traj)
     raw = path.read_bytes()
@@ -270,21 +272,56 @@ SIGNALLING_NAN = b"\x01\x00\x80\x7f"  # float32 0x7f800001, little-endian
 def test_trajectory_file_non_finite_payload_names_path(tmp_path):
     path = tmp_path / "nan.updr"
     write_trajectory(path, solve_hopf_surrogate(0.3, n_t=20, n_x=8))
-    path.write_bytes(path.read_bytes()[:-4] + SIGNALLING_NAN)
+    raw = path.read_bytes()  # the last state sits before the 4-byte CRC
+    path.write_bytes(raw[:-8] + SIGNALLING_NAN + raw[-4:])
     with pytest.raises(ValueError, match="non-finite") as err:
         read_trajectory(path)
     assert str(path) in str(err.value)
 
 
 def test_trajectory_grid_width_is_the_payload_width(tmp_path):
+    # width and length come from the .updr alone: a sidecar that contradicts
+    # them, is not JSON or is missing changes nothing
     path = tmp_path / "wide.updr"
-    write_trajectory(path, make_traj(np.ones((4, 16)), mu=0.0))
+    write_trajectory(path, Trajectory(states=np.ones((4, 16)), dt=0.1, length=22.0,
+                                      param=ParamPoint.of(mu=0.0)))
     sidecar = path.with_suffix(".updr.meta.json")
     meta = json.loads(sidecar.read_text())
-    assert meta["grid"] == {"length": 1.0, "n_points": 16}
-    meta["grid"] = {"length": 22.0, "n_points": 3}  # contradicts the payload
-    sidecar.write_text(json.dumps(meta))
-    again = read_trajectory(path)
-    assert again.n_xy == 16 and again.length == 22.0
-    sidecar.unlink()
-    assert read_trajectory(path).length == 1.0
+    assert meta["grid"] == {"length": 22.0, "n_points": 16}
+    meta["grid"] = {"length": 1.0, "n_points": 3}
+    for text in (json.dumps(meta), "{", None):
+        if text is None:
+            sidecar.unlink()
+        else:
+            sidecar.write_text(text)
+        again = read_trajectory(path)
+        assert again.n_xy == 16 and (again.dt, again.length) == (0.1, 22.0)
+        assert again.param == ParamPoint.of(mu=0.0)
+        np.testing.assert_array_equal(again.states, 1.0)
+
+
+@pytest.mark.parametrize("field", ["dt", "length"])
+@pytest.mark.parametrize("value", [0.0, -0.05, float("nan"), float("inf")])
+def test_trajectory_refuses_a_step_or_length_not_finite_and_positive(field, value):
+    kwargs = dict(states=np.ones((2, 3)), dt=0.1, length=1.0)
+    Trajectory(**kwargs)
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        Trajectory(**{**kwargs, field: value})
+
+
+def test_trajectory_file_refuses_every_changed_byte(tmp_path):
+    # 0x00, 0xFF and a one-bit flip at every byte of header, parameters,
+    # payload and checksum: each changed file is refused, none loads
+    path = tmp_path / "small.updr"
+    write_trajectory(path, solve_hopf_surrogate(0.3, n_t=6, n_x=4))
+    good = path.read_bytes()
+    read_trajectory(path)
+    refused = 0
+    for i, byte in enumerate(good):
+        for changed in sorted({0x00, 0xFF, byte ^ 1 << i % 8} - {byte}):
+            path.write_bytes(good[:i] + bytes([changed]) + good[i + 1:])
+            with pytest.raises(ValueError) as err:
+                read_trajectory(path)
+            assert str(path) in str(err.value)
+            refused += 1
+    assert refused > 2 * len(good)
