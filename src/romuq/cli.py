@@ -47,10 +47,16 @@ class _Cli(click.Group):
             raise
 
 
+def _check_seed(seed: int):
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def _load_config(path, seed) -> RunConfig:
     """The config at ``path`` (the defaults without one); --seed wins over its seed."""
     config = RunConfig() if path is None else RunConfig.load(path)
     if seed is not None:
+        _check_seed(seed)
         config.seed = seed
     return config
 
@@ -76,10 +82,23 @@ def _generate_one(config: RunConfig, params: dict) -> Trajectory:
 
 
 def _load_dataset(data_dir: Path):
+    """Every trajectory in ``data_dir``; each must agree with the first on
+    ``dt``, domain length, grid width and parameter names."""
     files = sorted(data_dir.glob("*.updr"))
     if not files:
         raise FileNotFoundError(f"no .updr trajectory files in {data_dir}")
-    return [read_trajectory(f) for f in files]
+    dataset = [read_trajectory(f) for f in files]
+
+    def facts(t: Trajectory):
+        return (("dt", t.dt), ("domain length", t.length), ("grid width", t.n_xy),
+                ("parameter names", t.param.names()))
+
+    for path, traj in zip(files[1:], dataset[1:]):
+        for (field, value), (_, first) in zip(facts(traj), facts(dataset[0])):
+            if value != first:
+                raise ValueError(f"{path}: {field} {value} differs from {first} "
+                                 f"in {files[0]}")
+    return dataset
 
 
 def _grid(config: RunConfig, names: tuple) -> list:
@@ -196,6 +215,7 @@ def cmd_infer(ckpt_dir, data_file, out_dir):
 @click.option("--out", "out_dir", type=click.Path(), default="runs/uq")
 def cmd_uq(ckpt_dir, data_file, ensemble_n, seed, out_dir):
     """Second-pass ensemble UQ over a rollout; emit nu CSV tables."""
+    _check_seed(seed)
     from .uq import aggregate_param, check_ensemble_size, second_pass, write_uq_csvs
     check_ensemble_size(ensemble_n)
     ckpt, traj, predicted, truth = _predict_for(ckpt_dir, data_file)

@@ -196,6 +196,10 @@ class RunConfig:
     adaptive: AdaptiveSection = field(default_factory=AdaptiveSection)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
     @classmethod
     def load(cls, path) -> "RunConfig":
         """Parse a config file; text that is not JSON, an unknown key or a

@@ -91,17 +91,21 @@ def _all_finite(x: np.ndarray) -> bool:
     return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
-def _record(name: str, inputs: Sequence[Tensor], out_data: np.ndarray,
+def _record(name: str, inputs: tuple, out_data: np.ndarray,
             backward_fn: Callable) -> Tensor:
-    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
+    """Wrap a primitive's float64 output, refusing a non-finite one, and
+    append it to the active tape when an input requires gradients."""
     if not _all_finite(out_data):
-        raise NonFiniteError(name, len(tape.ops) if tape is not None else -1)
-    out = Tensor(out_data)
-    if tape is not None:
+        raise NonFiniteError(name, len(_TAPE_STACK[-1].ops) if _TAPE_STACK else -1)
+    out = object.__new__(Tensor)  # skips __init__'s cast: the output is float64
+    # already, and a ufunc on a 0-d array returns the one non-array, a scalar
+    out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)
+    out.requires_grad, out.grad = False, None
+    if _TAPE_STACK:
         for t in inputs:
             if t.requires_grad:
                 out.requires_grad = True
-                tape.ops.append(_TapeEntry(name, tuple(inputs), out, backward_fn))
+                _TAPE_STACK[-1].ops.append(_TapeEntry(name, inputs, out, backward_fn))
                 break
     return out
 
@@ -168,7 +172,8 @@ def scale(a: Tensor, c: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """``a @ b``, plus ``bias`` (broadcast, added out of place) when given."""
     inputs = (a, b) if bias is None else (a, b, bias)
-    if a.data.ndim < 1 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
+    a_shape, b_shape = a.data.shape, b.data.shape
+    if not a_shape or len(b_shape) < 2 or a_shape[-1] != b_shape[-2]:
         raise ShapeError("matmul", *(t.shape for t in inputs))
     try:
         out = np.matmul(a.data, b.data)
@@ -247,10 +252,18 @@ def softmax(a: Tensor) -> Tensor:
     return _record("softmax", (a,), out, bwd)
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor,
+               residual: Optional[Tensor] = None) -> Tensor:
     """Normalise the last axis to zero mean and unit variance (1e-9 is added
-    to the variance), then scale by ``gamma`` and shift by ``beta``."""
+    to the variance), then scale by ``gamma`` and shift by ``beta``. With
+    ``residual``, ``a + residual`` (broadcast) is normalised; a non-finite
+    sum shows as a non-finite output."""
     x = a.data
+    if residual is not None:
+        try:
+            x = x + residual.data
+        except ValueError:
+            raise ShapeError("layer_norm", a.data.shape, residual.data.shape) from None
     n = x.shape[-1]
     xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
@@ -261,34 +274,42 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         gn = g * gamma.data
         gm = np.add.reduce(gn, axis=-1, keepdims=True) / n
         gy = np.add.reduce(gn * norm, axis=-1, keepdims=True) / n
-        return ((gn - gm - norm * gy) * inv, _unbroadcast(g * norm, gamma.shape),
-                _unbroadcast(g, beta.shape))
+        gx = (gn - gm - norm * gy) * inv
+        grads = (_unbroadcast(gx, a.shape), _unbroadcast(g * norm, gamma.shape),
+                 _unbroadcast(g, beta.shape))
+        return grads if residual is None else grads + (_unbroadcast(gx, residual.shape),)
 
-    return _record("layer_norm", (a, gamma, beta), norm * gamma.data + beta.data, bwd)
+    inputs = (a, gamma, beta) if residual is None else (a, gamma, beta, residual)
+    return _record("layer_norm", inputs, norm * gamma.data + beta.data, bwd)
+
+
+def _reshaped(op: str, x: np.ndarray, shape) -> np.ndarray:
+    try:
+        return x.reshape(shape)
+    except ValueError:
+        raise ShapeError(op, x.shape, tuple(shape)) from None
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    try:
-        out = a.data.reshape(shape)
-    except ValueError:
-        raise ShapeError("reshape", a.shape, shape) from None
+    in_shape = a.data.shape
 
     def bwd(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(in_shape),)
 
-    return _record("reshape", (a,), out, bwd)
+    return _record("reshape", (a,), _reshaped("reshape", a.data, shape), bwd)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(a.data.ndim)))
-    axes = tuple(axes)
+def transpose(a: Tensor, axes=None, shape=None) -> Tensor:
+    """``a`` with its axes permuted; with ``shape``, reshaped to it first."""
+    in_shape = a.data.shape
+    x = a.data if shape is None else _reshaped("transpose", a.data, shape)
+    axes = tuple(reversed(range(x.ndim))) if axes is None else tuple(axes)
 
     def bwd(g):
-        return (g.transpose(np.argsort(axes)),)
+        g = g.transpose(np.argsort(axes))
+        return (g if shape is None else g.reshape(in_shape),)
 
-    return _record("transpose", (a,), a.data.transpose(axes), bwd)
+    return _record("transpose", (a,), x.transpose(axes), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -310,12 +331,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    n = a.shape[axis]
-    if not (0 <= start < stop <= n):
-        raise ShapeError("slice", a.shape, (axis, start, stop))
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
+    shape = a.data.shape
+    if not (0 <= start < stop <= shape[axis]):
+        raise ShapeError("slice", shape, (axis, start, stop))
+    idx = (slice(None),) * (axis % len(shape)) + (slice(start, stop),)
 
     def bwd(g):
         full = np.zeros_like(a.data)

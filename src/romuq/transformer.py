@@ -65,8 +65,8 @@ class AttentionBlock:
         c = self.config
         shape = (batch, length, c.heads, c.width // c.heads)
         if length == 1:
-            return T.reshape(x, tuple(shape[a] for a in axes))
-        return T.transpose(T.reshape(x, shape), axes)
+            return T.reshape(x, [shape[a] for a in axes])
+        return T.transpose(x, axes, shape)
 
     def _heads_join(self, x: Tensor, batch: int, length: int) -> Tensor:
         c = self.config
@@ -107,10 +107,10 @@ class AttentionBlock:
         if x.shape[1] != q:
             raise T.ShapeError("attention_block", x.shape, (q,))
         rows, mask = (T.slice_axis(x, 1, q - 1, q), None) if last_only else (x, self.mask)
-        x = T.layer_norm(T.add(rows, self._attend(rows, x, mask)), *self.ln1)
-        x = T.layer_norm(T.add(x, cond), *self.ln2)
+        x = T.layer_norm(rows, *self.ln1, residual=self._attend(rows, x, mask))
+        x = T.layer_norm(x, *self.ln2, residual=cond)
         h = T.linear(T.gelu(T.linear(x, self.ff1)), self.ff2)
-        return T.layer_norm(T.add(x, h), *self.ln3)
+        return T.layer_norm(x, *self.ln3, residual=h)
 
 
 class LatentTransformer:
@@ -184,7 +184,7 @@ def rollout(model: LatentTransformer, initial_window: np.ndarray, xi,
         cond = model.condition(xi, 1)
         for step in range(steps):
             nxt = model.forecast(buf[None, step:step + q], xi, cond).data[0, 0]
-            if np.max(np.abs(nxt)) > 1e6:
+            if np.abs(nxt).max() > 1e6:
                 raise RolloutDivergence(step, "latent magnitude above 1e6")
             buf[q + step] = nxt
     except T.NonFiniteError as exc:

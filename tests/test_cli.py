@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import re
@@ -14,7 +15,8 @@ from click.testing import CliRunner
 import romuq
 from romuq.adaptive import evaluate_grid
 from romuq.cli import main
-from romuq.datagen import ParamPoint, read_trajectory, solve_hopf_surrogate
+from romuq.datagen import (ParamPoint, read_trajectory, solve_hopf_surrogate,
+                           write_trajectory)
 from romuq.training import ModelCheckpoint, predict_rollout
 from romuq.uq import aggregate_param, second_pass
 
@@ -148,6 +150,31 @@ def test_generate_rejects_wrong_sweep_name(runner, tmp_path):
     assert res.exit_code == 5
     assert "the hopf solver sweeps 'mu', got 'nu'" in res.output
     assert not (tmp_path / "x").exists()  # refused before --out is created
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--sweep", "mu=0.3", "--seed", "-3"],
+    ["train", "--data", "{tmp}/data", "--seed", "-2"],
+    ["uq", "--checkpoint", "{tmp}/ckpt", "--data", "{tmp}/a.updr", "--seed", "-1"],
+    ["adapt", "--checkpoint", "{tmp}/ckpt", "--data", "{tmp}/data", "--seed", "-5"],
+])
+def test_negative_seed_option_exit_5_before_anything_is_read(runner, tmp_path, command):
+    # none of the inputs exists: the seed is refused first
+    out = tmp_path / "out"
+    res = runner.invoke(main, [a.format(tmp=tmp_path) for a in command] + ["--out", str(out)])
+    assert res.exit_code == 5, res.output
+    assert "--seed must be >= 0" in res.output
+    assert not out.exists()
+
+
+def test_negative_config_seed_exit_3_naming_the_file(runner, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONFIG, seed=-4)))
+    res = runner.invoke(main, ["generate", "--config", str(cfg), "--sweep", "mu=0.3",
+                              "--out", str(tmp_path / "x")])
+    assert res.exit_code == 3, res.output
+    assert f"invalid config: {cfg}: seed must be >= 0" in res.output
+    assert not (tmp_path / "x").exists()
 
 
 def test_missing_config_file_exit_code(runner, tmp_path):
@@ -312,6 +339,48 @@ def test_train_missing_data_exit_code(runner, tmp_path):
     (tmp_path / "empty").mkdir()
     res = runner.invoke(main, ["train", "--data", str(tmp_path / "empty")])
     assert res.exit_code == 2
+
+
+def write_disagreeing_data(directory, change):
+    """Two Hopf trajectories, the second (b.updr) changed by ``change``."""
+    directory.mkdir()
+    first = solve_hopf_surrogate(mu=0.3, n_x=16, dt=0.1, n_t=40)
+    write_trajectory(directory / "a.updr", first)
+    write_trajectory(directory / "b.updr", dataclasses.replace(first, **change(first)))
+    return directory / "b.updr"
+
+
+DISAGREEMENTS = [
+    ("dt", lambda t: {"dt": 0.2}),
+    ("domain length", lambda t: {"length": 11.0}),
+    ("grid width", lambda t: {"states": t.states[:, :8]}),
+    ("parameter names", lambda t: {"param": ParamPoint.of(mu=0.5)}),
+]
+
+
+@pytest.mark.parametrize("field, change", DISAGREEMENTS)
+def test_train_refuses_trajectories_that_disagree_exit_5(runner, tmp_path, field, change):
+    bad = write_disagreeing_data(tmp_path / "data", change)
+    cfg = tmp_path / "config.json"
+    write_config(cfg)
+    out = tmp_path / "train"
+    res = runner.invoke(main, ["train", "--config", str(cfg), "--data",
+                              str(tmp_path / "data"), "--out", str(out)])
+    assert res.exit_code == 5, res.output
+    assert f"{bad}: {field} " in res.output
+    assert not out.exists()
+
+
+def test_adapt_refuses_trajectories_that_disagree_exit_5(runner, tmp_path):
+    ckpt = run_train(runner, tmp_path, run_generate(runner, tmp_path))
+    bad = write_disagreeing_data(tmp_path / "mixed", DISAGREEMENTS[0][1])
+    out = tmp_path / "adapt"
+    res = runner.invoke(main, ["adapt", "--config", str(tmp_path / "config.json"),
+                              "--checkpoint", str(ckpt), "--data", str(tmp_path / "mixed"),
+                              "--out", str(out)])
+    assert res.exit_code == 5, res.output
+    assert f"{bad}: dt 0.2 differs from 0.1" in res.output
+    assert not out.exists()
 
 
 def test_malformed_inputs_exit_5_naming_the_file(runner, tmp_path):

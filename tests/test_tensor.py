@@ -64,8 +64,14 @@ PRIMITIVE_CASES = {
     "gelu": lambda a: T.tensor_sum(T.mul(T.gelu(a), a)),
     "softmax": lambda a: T.tensor_sum(T.mul(T.softmax(a), a)),
     "layer_norm": lambda a, gamma, beta: T.tensor_sum(T.mul(T.layer_norm(a, gamma, beta), a)),
+    "layer_norm:residual": lambda a, gamma, beta, r: T.tensor_sum(
+        T.mul(T.layer_norm(a, gamma, beta, residual=r), a)),
+    "layer_norm:broadcast_residual": lambda a, gamma, beta, r: T.tensor_sum(
+        T.mul(T.layer_norm(a, gamma, beta, residual=r), a)),
     "reshape": lambda a: T.tensor_sum(T.mul(T.reshape(a, (a.size,)), T.reshape(a, (a.size,)))),
     "transpose": lambda a: T.tensor_sum(T.mul(T.transpose(a), T.transpose(a))),
+    "transpose:shape": lambda a: T.tensor_sum(T.mul(T.transpose(a, (1, 0, 2), (2, 2, 4)),
+                                                    T.transpose(a, (1, 0, 2), (2, 2, 4)))),
     "concat": lambda a, b: T.tensor_sum(T.mul(T.concat([a, b], axis=0), T.concat([a, b], axis=0))),
     "slice": lambda a: T.tensor_sum(T.mul(T.slice_axis(a, 0, 1, 3), T.slice_axis(a, 0, 1, 3))),
     "sum": lambda a: T.mul(T.tensor_sum(a), T.tensor_sum(a)),
@@ -85,6 +91,12 @@ def test_primitive_gradients_match_finite_differences(name):
             arrays = [RNG.uniform(0.5, 2.0, size=(4, 4))]
         elif name == "layer_norm":
             arrays = [RNG.standard_normal((4, 4)), RNG.standard_normal(4), RNG.standard_normal(4)]
+        elif name == "layer_norm:residual":
+            arrays = [RNG.standard_normal((4, 4)), RNG.standard_normal(4), RNG.standard_normal(4),
+                      RNG.standard_normal((4, 4))]
+        elif name == "layer_norm:broadcast_residual":  # a (B, 1, W) residual, as the conditioning
+            arrays = [RNG.standard_normal((2, 3, 4)), RNG.standard_normal(4),
+                      RNG.standard_normal(4), RNG.standard_normal((2, 1, 4))]
         elif name in TWO_ARG:
             arrays = [RNG.standard_normal((4, 4)), RNG.standard_normal((4, 4))]
         else:
@@ -224,11 +236,13 @@ PRIMITIVE_LABELS = {"matmul", "add", "sub", "mul", "scale", "exp", "log",
 
 # Primitives whose own arithmetic raises no floating-point warning on
 # inf/nan inputs, so any warning would come from the finiteness check;
-# each with the numpy expression of its output.
+# each with the numpy expression of its output. A key is the op label,
+# then ":" and the variant when there is one.
 COPYING_PRIMITIVES = {
     "scale": (lambda a: T.scale(a, 1.0), lambda x: x * 1.0),
     "reshape": (lambda a: T.reshape(a, (-1,)), lambda x: x.reshape(-1)),
     "transpose": (T.transpose, lambda x: x.T),
+    "transpose:shape": (lambda a: T.transpose(a, (1, 0), (3, 2)), lambda x: x.reshape(3, 2).T),
     "slice": (lambda a: T.slice_axis(a, 1, 1, 3), lambda x: x[:, 1:]),
     "concat": (lambda a: T.concat([a, a], axis=1),
                lambda x: np.concatenate([x, x], axis=1)),
@@ -262,7 +276,7 @@ def test_non_finite_raised_exactly_when_an_element_is(values, name, before, tape
                     with pytest.raises(NonFiniteError) as err:
                         primitive(a)
                     assert err.value.op_index == before
-                    assert err.value.op == name
+                    assert err.value.op == name.split(":")[0]
                     assert len(tape) == before
                 else:
                     primitive(a)
@@ -312,9 +326,9 @@ def test_forecast_without_tape_records_nothing():
     window = np.random.default_rng(1).standard_normal((1, 10, 4))
     with Tape() as tape:
         taped = transformer.forecast(window, np.zeros(2))
-    assert len(tape) == 31
+    assert len(tape) == 26
     out = transformer.forecast(window, np.zeros(2))
-    assert len(tape) == 31 and not T._TAPE_STACK
+    assert len(tape) == 26 and not T._TAPE_STACK
     assert not out.requires_grad
     assert out.data.tobytes() == taped.data.tobytes()
 
@@ -331,7 +345,7 @@ def test_training_step_records_every_op_by_a_primitive():
                              rng.standard_normal((3, 2)), LossWeights(),
                              rng.standard_normal((3, 10, 4)))
         backward(tape, loss)
-    assert len(tape) == 81
+    assert len(tape) == 76
     assert {entry.name for entry in tape.ops} <= PRIMITIVE_LABELS
 
 
@@ -427,6 +441,47 @@ def test_layer_norm_affine_equals_the_three_op_chain(shape):
                      arrays, weights)
     assert fused[:2] == chain[:2]
     assert (fused[2], chain[2]) == (3, 5)
+
+
+FUSED_FORMS = {  # fused call, the op chain it replaces, input shapes, output shape
+    "layer_norm:residual": (lambda a, g, b, r: T.layer_norm(a, g, b, residual=r),
+                            lambda a, g, b, r: T.layer_norm(T.add(a, r), g, b),
+                            [(6, 8), (8,), (8,), (6, 8)], (6, 8)),
+    "layer_norm:broadcast_residual": (
+        lambda a, g, b, r: T.layer_norm(a, g, b, residual=r),
+        lambda a, g, b, r: T.layer_norm(T.add(a, r), g, b),
+        [(2, 5, 8), (8,), (8,), (2, 1, 8)], (2, 5, 8)),
+    "transpose:shape": (lambda a: T.transpose(a, (0, 2, 1, 3), (3, 5, 4, 2)),
+                        lambda a: T.transpose(T.reshape(a, (3, 5, 4, 2)), (0, 2, 1, 3)),
+                        [(3, 5, 8)], (3, 4, 5, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_FORMS))
+def test_fused_form_equals_its_op_chain_bit_for_bit(name):
+    fused_op, chain_op, shapes, out_shape = FUSED_FORMS[name]
+    rng = np.random.default_rng(24)
+    arrays = [rng.standard_normal(s) for s in shapes]
+    weights = rng.standard_normal(out_shape)
+    fused, chain = grads_of(fused_op, arrays, weights), grads_of(chain_op, arrays, weights)
+    assert fused[:2] == chain[:2]
+    assert (fused[2], chain[2]) == (3, 4)  # one op fewer
+
+
+def test_fused_form_failures_name_the_fused_op():
+    a, gamma, beta = Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3))
+    with pytest.raises(ShapeError) as err:
+        T.layer_norm(a, gamma, beta, residual=Tensor(np.ones((2, 4))))
+    assert err.value.op == "layer_norm"
+    assert err.value.shapes == ((2, 3), (2, 4))
+    with pytest.raises(ShapeError) as err:
+        T.transpose(a, (1, 0), (4, 2))
+    assert (err.value.op, err.value.shapes) == ("transpose", ((2, 3), (4, 2)))
+    # a sum that overflows is reported as the layer norm's (non-finite) output
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as err:
+        T.layer_norm(Tensor(np.full((2, 3), 1e308)), gamma, beta,
+                     residual=Tensor(np.full((2, 3), 1e308)))
+    assert err.value.op == "layer_norm"
 
 
 def test_shared_gradients_are_never_updated_in_place(monkeypatch):
