@@ -81,23 +81,26 @@ def _generate_one(config: RunConfig, params: dict) -> Trajectory:
                                 init_amplitude=dg.init_amplitude)
 
 
-def _load_dataset(data_dir: Path):
-    """Every trajectory in ``data_dir``; each must agree with the first on
+def _check_agrees(traj: Trajectory, what, ref: Trajectory, ref_name):
+    """Refuse ``traj`` (called ``what``) unless it agrees with ``ref`` on
     ``dt``, domain length, grid width and parameter names."""
-    files = sorted(data_dir.glob("*.updr"))
-    if not files:
-        raise FileNotFoundError(f"no .updr trajectory files in {data_dir}")
-    dataset = [read_trajectory(f) for f in files]
-
     def facts(t: Trajectory):
         return (("dt", t.dt), ("domain length", t.length), ("grid width", t.n_xy),
                 ("parameter names", t.param.names()))
 
+    for (field, value), (_, want) in zip(facts(traj), facts(ref)):
+        if value != want:
+            raise ValueError(f"{what}: {field} {value} differs from {want} in {ref_name}")
+
+
+def _load_dataset(data_dir: Path):
+    """Every trajectory in ``data_dir``; each must agree with the first."""
+    files = sorted(data_dir.glob("*.updr"))
+    if not files:
+        raise FileNotFoundError(f"no .updr trajectory files in {data_dir}")
+    dataset = [read_trajectory(f) for f in files]
     for path, traj in zip(files[1:], dataset[1:]):
-        for (field, value), (_, first) in zip(facts(traj), facts(dataset[0])):
-            if value != first:
-                raise ValueError(f"{path}: {field} {value} differs from {first} "
-                                 f"in {files[0]}")
+        _check_agrees(traj, path, dataset[0], files[0])
     return dataset
 
 
@@ -242,6 +245,8 @@ def cmd_uq(ckpt_dir, data_file, ensemble_n, seed, out_dir):
 @click.option("--out", "out_dir", type=click.Path(), default="runs/adapt")
 def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir):
     """Uncertainty-driven adaptive sampling over the configured grid."""
+    if threshold is not None and not np.isfinite(threshold):
+        raise ValueError(f"--threshold must be finite, got {threshold}")
     from .adaptive import run_loop
     from .training import ModelCheckpoint
     config = _load_config(config_path, seed)
@@ -254,7 +259,9 @@ def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir)
     grid = _grid(config, initial[0].param.names())
 
     def generator(point: ParamPoint) -> Trajectory:
-        return _generate_one(config, point.as_dict())
+        traj = _generate_one(config, point.as_dict())
+        _check_agrees(traj, f"grid point {point.as_dict()}", initial[0], data_dir)
+        return traj
 
     out = Path(out_dir)
     run_loop(ckpt, generator, grid, config.adaptive.budget,

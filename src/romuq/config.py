@@ -41,9 +41,9 @@ def _has_type(v, tp) -> bool:
 
 def parse(cls, d, where: str, derived: bool = False):
     """Build the dataclass ``cls`` from the mapping ``d``, recursing into
-    dataclass-typed fields. Unknown keys and values of the wrong type raise
-    ConfigError, and so do derived fields unless ``derived`` is set (a
-    checkpoint stores them)."""
+    dataclass-typed fields. Unknown keys, values of the wrong type and
+    non-finite numbers raise ConfigError, and so do derived fields unless
+    ``derived`` is set (a checkpoint stores them)."""
     if not isinstance(d, dict):
         raise ConfigError(f"[{where}] must be a mapping")
     settable = {f.name for f in fields(cls)
@@ -54,9 +54,15 @@ def parse(cls, d, where: str, derived: bool = False):
     types = get_type_hints(cls)
     for k, v in d.items():
         tp = types[k]
-        if not is_dataclass(tp) and not _has_type(v, tp):
+        if is_dataclass(tp):
+            continue
+        if not _has_type(v, tp):
             name = tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
             raise ConfigError(f"[{where}] {k} must be of type {name}, got {v!r}")
+        try:  # strict JSON holds no NaN or infinity, at any depth
+            json.dumps(v, allow_nan=False)
+        except ValueError:
+            raise ConfigError(f"[{where}] {k} must be finite, got {v!r}") from None
     return cls(**{k: parse(types[k], v, k, derived) if is_dataclass(types[k]) else v
                   for k, v in d.items()})
 

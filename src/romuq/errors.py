@@ -5,10 +5,9 @@ to exit code 4 without loading the model stack."""
 class NonFiniteError(FloatingPointError):
     """Raised when a primitive produces a non-finite value."""
 
-    def __init__(self, op: str, op_index: int):
-        super().__init__(f"{op}: non-finite output at tape op index {op_index}")
+    def __init__(self, op: str):
+        super().__init__(f"{op}: non-finite output")
         self.op = op
-        self.op_index = op_index
 
 
 class TrainingDiverged(RuntimeError):

@@ -96,7 +96,7 @@ def _record(name: str, inputs: tuple, out_data: np.ndarray,
     """Wrap a primitive's float64 output, refusing a non-finite one, and
     append it to the active tape when an input requires gradients."""
     if not _all_finite(out_data):
-        raise NonFiniteError(name, len(_TAPE_STACK[-1].ops) if _TAPE_STACK else -1)
+        raise NonFiniteError(name)
     out = object.__new__(Tensor)  # skips __init__'s cast: the output is float64
     # already, and a ufunc on a 0-d array returns the one non-array, a scalar
     out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)
@@ -203,24 +203,6 @@ def exp(a: Tensor) -> Tensor:
         return (g * out,)
 
     return _record("exp", (a,), out, bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    def bwd(g):
-        return (g / a.data,)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-    return _record("log", (a,), out, bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
-
-    return _record("tanh", (a,), out, bwd)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -357,21 +339,14 @@ def tensor_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
     return _record("sum", (a,), a.data.sum(axis=axis), bwd)
 
 
-def tensor_mean(a: Tensor, axis: Optional[int] = None) -> Tensor:
-    if axis is None:
-        n = a.size
-
-        def bwd(g):
-            return (np.broadcast_to(g / n, a.shape).copy(),)
-
-        return _record("mean", (a,), np.asarray(a.data.mean()), bwd)
-
-    n = a.shape[axis]
+def tensor_mean(a: Tensor) -> Tensor:
+    """Mean over all elements."""
+    n = a.size
 
     def bwd(g):
-        return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
+        return (np.broadcast_to(g / n, a.shape).copy(),)
 
-    return _record("mean", (a,), a.data.mean(axis=axis), bwd)
+    return _record("mean", (a,), np.asarray(a.data.mean()), bwd)
 
 
 def backward(tape: Tape, loss: Tensor):

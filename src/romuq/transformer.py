@@ -137,15 +137,13 @@ class LatentTransformer:
         return [block.condition(xi_tokens) for block in self.blocks]
 
     def forecast(self, window: Union[np.ndarray, Tensor], xi, cond=None) -> Tensor:
-        """Predict the next ``horizon`` latent vectors, shape (B, h, Z).
+        """The next ``horizon`` latents, (B, h, Z), after (B, q, Z) windows.
         ``cond`` is :meth:`condition` of ``xi`` at this batch, built here
         when not given. Products over the batch rows run per sample, on
         ``(B, 1, n)`` stacks, so a forecast never depends on its batch."""
         c = self.config
         x = window if isinstance(window, Tensor) else Tensor(np.asarray(window))
-        if x.data.ndim == 2:
-            x = T.reshape(x, (1,) + tuple(x.shape))
-        if x.shape[1] != c.lookback or x.shape[2] != c.latent_dim:
+        if x.data.ndim != 3 or x.shape[1:] != (c.lookback, c.latent_dim):
             raise T.ShapeError("forecast", x.shape, (c.lookback, c.latent_dim))
         self.forward_count += 1
         batch = x.shape[0]

@@ -89,13 +89,6 @@ def aggregate_param(nu: np.ndarray) -> float:
     return float(nu.mean())
 
 
-def confidence_interval(mean_traj: np.ndarray, nu: np.ndarray, k: float = 2.0):
-    """Elementwise mean +/- k * nu bounds."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    return mean_traj - k * nu, mean_traj + k * nu
-
-
 def write_uq_csvs(directory, nu: np.ndarray):
     """Emit uq_field.csv (t, d, nu) and nu_t.csv for plotting."""
     directory = Path(directory)

@@ -177,6 +177,25 @@ def test_negative_config_seed_exit_3_naming_the_file(runner, tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("adaptive", "threshold", "NaN"),
+    ("loss", "kld_weight", "NaN"),
+    ("training", "lr", "Infinity"),
+    ("adaptive", "grid", '[{"mu": -Infinity}]'),
+], ids=["threshold", "kld_weight", "lr", "grid"])
+def test_non_finite_config_value_exit_3_naming_the_file_and_key(runner, tmp_path,
+                                                                section, key, value):
+    # the config is refused before --data, which does not exist, is read
+    cfg = tmp_path / "config.json"
+    cfg.write_text(f'{{"{section}": {{"{key}": {value}}}}}')
+    out = tmp_path / "train"
+    res = runner.invoke(main, ["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                              "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert f"invalid config: {cfg}: [{section}] {key} must be finite" in res.output
+    assert not out.exists()
+
+
 def test_missing_config_file_exit_code(runner, tmp_path):
     res = runner.invoke(main, ["generate", "--config", str(tmp_path / "no.json"),
                               "--sweep", "mu=0.3"])
@@ -383,6 +402,37 @@ def test_adapt_refuses_trajectories_that_disagree_exit_5(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("datagen, message", [
+    ({"dt": 0.2}, "dt 0.2 differs from 0.1"),
+    ({"n_x": 32}, "grid width 32 differs from 16"),
+], ids=["dt", "n_x"])
+def test_adapt_refuses_grid_solves_that_disagree_with_the_data_exit_5(runner, tmp_path,
+                                                                      datagen, message):
+    ckpt = run_train(runner, tmp_path, run_generate(runner, tmp_path))
+    cfg = tmp_path / "changed.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONFIG,
+                                   datagen={**SMALL_CONFIG["datagen"], **datagen})))
+    res = runner.invoke(main, ["adapt", "--config", str(cfg), "--checkpoint", str(ckpt),
+                              "--data", str(tmp_path / "data"),
+                              "--out", str(tmp_path / "adapt")])
+    assert res.exit_code == 5, res.output
+    assert f"grid point {{'mu': 0.2, 'omega': 1.0}}: {message} in {tmp_path / 'data'}" \
+        in res.output
+    assert not (tmp_path / "adapt" / "checkpoint").exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_adapt_non_finite_threshold_exit_5_before_anything_is_read(runner, tmp_path,
+                                                                   threshold):
+    out = tmp_path / "adapt"
+    res = runner.invoke(main, ["adapt", "--checkpoint", str(tmp_path / "ckpt"),
+                              "--data", str(tmp_path / "data"),
+                              "--threshold", threshold, "--out", str(out)])
+    assert res.exit_code == 5, res.output
+    assert "--threshold must be finite" in res.output
+    assert not out.exists()
+
+
 def test_malformed_inputs_exit_5_naming_the_file(runner, tmp_path):
     data = run_generate(runner, tmp_path)
     ckpt = run_train(runner, tmp_path, data)
@@ -500,7 +550,10 @@ def test_bad_manifest_config_lineage_or_loss_curve_exit_5(runner, tmp_path):
     good = json.loads(manifest.read_text())
     bad_config = copy.deepcopy(good)
     bad_config["config"]["vae"]["latent_dim"] = "x"
-    cases = [(bad_config, "latent_dim must be of type int")] + [
+    nan_config = copy.deepcopy(good)
+    nan_config["config"]["loss"]["kld_weight"] = float("nan")
+    cases = [(bad_config, "latent_dim must be of type int"),
+             (nan_config, "kld_weight must be finite")] + [
         ({**good, key: value}, key)
         for key, value in (("lineage", 3), ("lineage", [1]), ("loss_curve", "abc"),
                            ("loss_curve", [0.5, float("nan")]), ("loss_curve", [True]))]

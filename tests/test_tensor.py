@@ -59,8 +59,6 @@ PRIMITIVE_CASES = {
     "mul": lambda a, b: T.tensor_sum(T.mul(T.mul(a, b), a)),
     "scale": lambda a: T.tensor_sum(T.mul(T.scale(a, 1.7), a)),
     "exp": lambda a: T.tensor_sum(T.mul(T.exp(a), a)),
-    "log": lambda a: T.tensor_sum(T.mul(T.log(a), a)),
-    "tanh": lambda a: T.tensor_sum(T.mul(T.tanh(a), a)),
     "gelu": lambda a: T.tensor_sum(T.mul(T.gelu(a), a)),
     "softmax": lambda a: T.tensor_sum(T.mul(T.softmax(a), a)),
     "layer_norm": lambda a, gamma, beta: T.tensor_sum(T.mul(T.layer_norm(a, gamma, beta), a)),
@@ -77,7 +75,6 @@ PRIMITIVE_CASES = {
     "sum": lambda a: T.mul(T.tensor_sum(a), T.tensor_sum(a)),
     "mean": lambda a: T.mul(T.tensor_mean(a), T.tensor_mean(a)),
     "sum_axis": lambda a: T.tensor_sum(T.mul(T.tensor_sum(a, axis=1), T.tensor_sum(a, axis=1))),
-    "mean_axis": lambda a: T.tensor_sum(T.mul(T.tensor_mean(a, axis=0), T.tensor_mean(a, axis=0))),
 }
 
 TWO_ARG = {"matmul", "add", "sub", "mul", "concat"}
@@ -87,9 +84,7 @@ TWO_ARG = {"matmul", "add", "sub", "mul", "concat"}
 def test_primitive_gradients_match_finite_differences(name):
     build = PRIMITIVE_CASES[name]
     for _ in range(10):
-        if name == "log":
-            arrays = [RNG.uniform(0.5, 2.0, size=(4, 4))]
-        elif name == "layer_norm":
+        if name == "layer_norm":
             arrays = [RNG.standard_normal((4, 4)), RNG.standard_normal(4), RNG.standard_normal(4)]
         elif name == "layer_norm:residual":
             arrays = [RNG.standard_normal((4, 4)), RNG.standard_normal(4), RNG.standard_normal(4),
@@ -199,12 +194,13 @@ def test_shape_mismatch_names_primitive_and_shapes():
     assert "(2, 3)" in str(err.value)
 
 
-def test_non_finite_output_reports_op_index():
+def test_non_finite_output_names_op():
     x = Tensor(np.array([1000.0]), requires_grad=True)
     with Tape():
         with pytest.raises(NonFiniteError) as err:
             T.exp(x)
-    assert err.value.op_index == 0
+    assert err.value.op == "exp"
+    assert str(err.value) == "exp: non-finite output"
 
 
 def test_replay_determinism():
@@ -230,9 +226,9 @@ def test_softmax_normalisation_property(row):
 
 # ------------------------------------------------------- fast-path guards
 
-PRIMITIVE_LABELS = {"matmul", "add", "sub", "mul", "scale", "exp", "log",
-                    "tanh", "gelu", "softmax", "layer_norm", "reshape",
-                    "transpose", "concat", "slice", "sum", "mean"}
+PRIMITIVE_LABELS = {"matmul", "add", "sub", "mul", "scale", "exp", "gelu",
+                    "softmax", "layer_norm", "reshape", "transpose", "concat",
+                    "slice", "sum", "mean"}
 
 # Primitives whose own arithmetic raises no floating-point warning on
 # inf/nan inputs, so any warning would come from the finiteness check;
@@ -259,8 +255,8 @@ special_floats = st.one_of(
        st.sampled_from(sorted(COPYING_PRIMITIVES)),
        st.integers(0, 3), st.booleans())
 def test_non_finite_raised_exactly_when_an_element_is(values, name, before, taped):
-    """The finiteness check answers as the elementwise test does, with the
-    op index of the tape, and adds no floating-point warning."""
+    """The finiteness check answers as the elementwise test does, names the
+    op, leaves the tape as it was, and adds no floating-point warning."""
     data = np.array(values).reshape(2, 3)
     a = Tensor(data, requires_grad=True)
     w = Tensor(np.ones(2), requires_grad=True)
@@ -275,7 +271,6 @@ def test_non_finite_raised_exactly_when_an_element_is(values, name, before, tape
                 if expect_raise:
                     with pytest.raises(NonFiniteError) as err:
                         primitive(a)
-                    assert err.value.op_index == before
                     assert err.value.op == name.split(":")[0]
                     assert len(tape) == before
                 else:
@@ -284,7 +279,7 @@ def test_non_finite_raised_exactly_when_an_element_is(values, name, before, tape
         elif expect_raise:
             with pytest.raises(NonFiniteError) as err:
                 primitive(a)
-            assert err.value.op_index == -1
+            assert err.value.op == name.split(":")[0]
         else:
             primitive(a)
 

@@ -84,8 +84,8 @@ def test_block_zero_value_projection_reduces_to_feedforward_path():
 def test_forecast_shape_and_determinism():
     model = make_model()
     window = np.random.default_rng(5).standard_normal((6, 2))
-    a = model.forecast(window, np.array([0.5])).data
-    b = model.forecast(window, np.array([0.5])).data
+    a = model.forecast(window[None], np.array([0.5])).data
+    b = model.forecast(window[None], np.array([0.5])).data
     assert a.shape == (1, 3, 2)
     assert a.tobytes() == b.tobytes()
 
@@ -210,9 +210,11 @@ def test_forecast_equals_general_cross_attention(blocks, batch):
 
 
 def test_forecast_wrong_window_length():
+    """A window of another length, or one without its batch axis, is refused."""
     model = make_model()
-    with pytest.raises(T.ShapeError):
-        model.forecast(np.zeros((5, 2)), np.array([0.0]))
+    for shape in [(5, 2), (1, 5, 2), (6, 2)]:
+        with pytest.raises(T.ShapeError, match="forecast"):
+            model.forecast(np.zeros(shape), np.array([0.0]))
 
 
 def test_forecast_positional_sensitivity():
@@ -220,8 +222,8 @@ def test_forecast_positional_sensitivity():
     rng = np.random.default_rng(6)
     window = rng.standard_normal((6, 2))
     shuffled = window[::-1].copy()
-    a = model.forecast(window, np.array([0.0])).data
-    b = model.forecast(shuffled, np.array([0.0])).data
+    a = model.forecast(window[None], np.array([0.0])).data
+    b = model.forecast(shuffled[None], np.array([0.0])).data
     assert np.max(np.abs(a - b)) > 1e-8
 
 
@@ -230,16 +232,16 @@ def test_xi_pathway_zeroed_makes_output_xi_invariant():
     model.xi_proj[0].data[:] = 0.0
     model.xi_proj[1].data[:] = 0.0
     window = np.random.default_rng(7).standard_normal((6, 2))
-    a = model.forecast(window, np.array([0.0])).data
-    b = model.forecast(window, np.array([123.0])).data
+    a = model.forecast(window[None], np.array([0.0])).data
+    b = model.forecast(window[None], np.array([123.0])).data
     np.testing.assert_array_equal(a, b)
 
 
 def test_xi_conditioning_changes_output():
     model = make_model()
     window = np.random.default_rng(8).standard_normal((6, 2))
-    a = model.forecast(window, np.array([0.0])).data
-    b = model.forecast(window, np.array([1.0])).data
+    a = model.forecast(window[None], np.array([0.0])).data
+    b = model.forecast(window[None], np.array([1.0])).data
     assert np.max(np.abs(a - b)) > 1e-8
 
 
@@ -247,7 +249,7 @@ def test_rollout_h1_first_step_matches_forecast():
     model = make_model(horizon=1)
     window = np.random.default_rng(9).standard_normal((6, 2))
     xi = np.array([0.3])
-    single = model.forecast(window, xi).data[0, 0]
+    single = model.forecast(window[None], xi).data[0, 0]
     rolled = rollout(model, window, xi, steps=1)
     np.testing.assert_array_equal(rolled[0], single)
 
@@ -434,7 +436,7 @@ def test_forward_count_probe():
     model = make_model()
     window = np.zeros((6, 2))
     before = model.forward_count
-    model.forecast(window, np.array([0.0]))
+    model.forecast(window[None], np.array([0.0]))
     rollout(model, window, np.array([0.0]), steps=4)
     assert model.forward_count == before + 5
 

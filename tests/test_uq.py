@@ -7,8 +7,8 @@ from romuq.datagen import NormStats, ParamPoint, Trajectory
 from romuq.metrics import BLOCK_ROWS, crps, write_param_csv
 from romuq.training import ModelCheckpoint, TrainConfig, train
 from romuq.transformer import LatentTransformer, TransformerConfig
-from romuq.uq import (aggregate_param, aggregate_time, confidence_interval,
-                      ensemble_noise, member_noise, second_pass, write_uq_csvs)
+from romuq.uq import (aggregate_param, aggregate_time, ensemble_noise, member_noise,
+                      second_pass, write_uq_csvs)
 from romuq.vae import Vae, VaeConfig
 from romuq.training import LossWeights
 
@@ -239,25 +239,6 @@ def test_aggregations_on_known_field():
     assert aggregate_param(nu) == pytest.approx(2.0)
     # nu_xi is the mean of nu_t
     assert aggregate_param(nu) == pytest.approx(np.mean(aggregate_time(nu)))
-
-
-def test_confidence_interval_properties():
-    nu = np.abs(np.random.default_rng(1).standard_normal((3, 2)))
-    mean = np.random.default_rng(2).standard_normal((3, 2))
-    lo1, hi1 = confidence_interval(mean, nu, k=1.0)
-    lo2, hi2 = confidence_interval(mean, nu, k=2.0)
-    assert np.all(lo1 <= hi1)
-    assert np.all(lo2 <= lo1) and np.all(hi1 <= hi2)
-    np.testing.assert_allclose((lo1 + hi1) / 2, mean, atol=1e-12)
-    with pytest.raises(ValueError):
-        confidence_interval(mean, nu, k=0.0)
-
-
-def test_confidence_interval_zero_field_collapses_to_mean():
-    mean = np.ones((3, 2))
-    lo, hi = confidence_interval(mean, np.zeros((3, 2)))
-    np.testing.assert_array_equal(lo, mean)
-    np.testing.assert_array_equal(hi, mean)
 
 
 # ------------------------------------------------------------------ CSV files
