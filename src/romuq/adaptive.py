@@ -75,7 +75,8 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
 
     ``generator`` supplies each grid point's ground truth, all solved once
     before the first iteration; one whose ``param`` is not the requested
-    point raises ValueError. Stops when the maximum uncertainty over
+    point raises ValueError. ``out_dir`` is created only once every truth
+    is solved, so a failed solve writes nothing. Stops when the maximum uncertainty over
     untrained points falls below ``threshold`` or after ``budget`` iterations.
     """
     if budget < 1:
@@ -86,23 +87,17 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
         raise ValueError(f"the grid needs at least two points, got {len(grid)}")
     state = AdaptiveState(param_grid=grid,
                           trained_set=[t.param for t in initial_data])
+    replay_pool = list(initial_data)
+    truths: dict = {}
+    for point in grid:
+        if point not in truths:
+            traj = truths[point] = generator(point)
+            if traj.param != point:
+                raise ValueError(f"the generator returned a trajectory at "
+                                 f"{traj.param.as_dict()} for {point.as_dict()}")
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-
-    replay_pool = list(initial_data)
-    truths: dict = {}
-    try:
-        for point in grid:
-            if point not in truths:
-                traj = truths[point] = generator(point)
-                if traj.param != point:
-                    raise ValueError(f"the generator returned a trajectory at "
-                                     f"{traj.param.as_dict()} for {point.as_dict()}")
-    except Exception:
-        if out_path is not None:
-            state.save(out_path / "adaptive_history.json")
-        raise
 
     for iteration in range(budget + 1):
         nu_list, mse_list, _ = evaluate_grid(ckpt, truths, grid, ensemble_n,

@@ -93,14 +93,17 @@ def _check_agrees(traj: Trajectory, what, ref: Trajectory, ref_name):
             raise ValueError(f"{what}: {field} {value} differs from {want} in {ref_name}")
 
 
-def _load_dataset(data_dir: Path):
-    """Every trajectory in ``data_dir``; each must agree with the first."""
+def _load_dataset(data_dir: Path, ckpt=None):
+    """Every trajectory in ``data_dir``; each must agree with the first, and
+    the first must fit ``ckpt`` when one is given."""
     files = sorted(data_dir.glob("*.updr"))
     if not files:
         raise FileNotFoundError(f"no .updr trajectory files in {data_dir}")
     dataset = [read_trajectory(f) for f in files]
     for path, traj in zip(files[1:], dataset[1:]):
         _check_agrees(traj, path, dataset[0], files[0])
+    if ckpt is not None:
+        ckpt.check_fits(dataset[0], files[0])
     return dataset
 
 
@@ -187,6 +190,7 @@ def _predict_for(ckpt_dir, data_file):
     from .training import ModelCheckpoint, forecast_trajectory
     ckpt = ModelCheckpoint.load(ckpt_dir)
     traj = read_trajectory(data_file)
+    ckpt.check_fits(traj, data_file)
     return ckpt, traj, *forecast_trajectory(ckpt, traj)
 
 
@@ -255,7 +259,7 @@ def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir)
     if threshold is not None:
         config.adaptive.threshold = threshold
     ckpt = ModelCheckpoint.load(ckpt_dir)
-    initial = _load_dataset(Path(data_dir))
+    initial = _load_dataset(Path(data_dir), ckpt)
     grid = _grid(config, initial[0].param.names())
 
     def generator(point: ParamPoint) -> Trajectory:

@@ -3,6 +3,7 @@ and replay-based retraining."""
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate, zip_longest
 from pathlib import Path
@@ -20,7 +21,7 @@ from .transformer import LatentTransformer, rollout
 from .vae import Vae, kld, reparameterize
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def total_loss(vae: Vae, transformer: LatentTransformer,
@@ -71,13 +72,16 @@ def total_loss(vae: Vae, transformer: LatentTransformer,
 
 @dataclass
 class ModelCheckpoint:
-    """All weights plus the configuration and provenance needed to rerun."""
+    """All weights plus the configuration and provenance needed to rerun.
+    ``data`` holds the ``dt``, domain ``length`` and parameter ``names`` of
+    the data it was fitted on."""
 
     vae: Vae
     transformer: LatentTransformer
     config: TrainConfig
     stats: NormStats
     seed: int
+    data: dict
     lineage: list = field(default_factory=list)
     loss_curve: list = field(default_factory=list)
 
@@ -88,30 +92,49 @@ class ModelCheckpoint:
         """The manifest's ``weights``: name and shape, in ``weights.bin``'s order."""
         return [{"name": n, "shape": list(p.data.shape)} for n, p in self.named_parameters()]
 
+    def check_fits(self, traj: Trajectory, name) -> None:
+        """Refuse ``traj``, read from ``name``, unless it has the grid width,
+        domain length and parameter names the model was fitted on, at a
+        ``dt`` that divides the fitted ``dt`` a whole number of times."""
+        for fact, value, want in (("grid width", traj.n_xy, self.config.vae.state_dim),
+                                  ("domain length", traj.length, self.data["length"]),
+                                  ("parameter names", list(traj.param.names()),
+                                   self.data["names"])):
+            if value != want:
+                raise ValueError(f"{name}: {fact} {value} differs from the checkpoint's {want}")
+        stride = self.data["dt"] / traj.dt
+        if round(stride) < 1 or abs(stride - round(stride)) > 1e-9 * stride:
+            raise ValueError(f"{name}: dt {traj.dt} does not divide the checkpoint's "
+                             f"dt {self.data['dt']} a whole number of times")
+
     def save(self, directory):
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        raw = b"".join(p.data.astype("<f8").tobytes() for _, p in self.named_parameters())
         write_json(directory / "manifest.json", {
             "format_version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
             "stats": self.stats.to_dict(),
             "seed": self.seed,
+            "data": self.data,
             "lineage": self.lineage,
             "loss_curve": self.loss_curve,
             "weights": self.weight_list(),
+            "weights_crc32": zlib.crc32(raw),
         })
-        (directory / "weights.bin").write_bytes(
-            b"".join(p.data.astype("<f8").tobytes() for _, p in self.named_parameters()))
+        (directory / "weights.bin").write_bytes(raw)
 
     @classmethod
     def load(cls, directory) -> "ModelCheckpoint":
         """Rebuild a saved checkpoint. A manifest that is not JSON, lacks a key,
         is of another format version, or has an invalid ``config``, a seed
         that is not an integer >= 0, ``stats`` that are not finite numbers of
-        length ``state_dim`` with a positive ``std``, ``weights`` that are not
-        the model's list, in order, a ``lineage`` not a list of objects or a
-        ``loss_curve`` not a list of finite numbers, or a weights file not of
-        those weights' size, raises ValueError naming the file."""
+        length ``state_dim`` with a positive ``std``, ``data`` that is not a
+        finite positive ``dt`` and ``length`` and ``param_dim`` parameter
+        ``names``, ``weights`` that are not the model's list, in order, a
+        ``lineage`` not a list of objects or a ``loss_curve`` not a list of
+        finite numbers, or a weights file not of those weights' size or
+        checksum, raises ValueError naming the file."""
         directory = Path(directory)
         path = directory / "manifest.json"
         with json_object(path) as manifest:
@@ -133,6 +156,15 @@ class ModelCheckpoint:
                 raise ValueError(f"stats in {path} are not of length {config.vae.state_dim}")
             if not (np.isfinite([stats.mean, stats.std]).all() and (stats.std > 0).all()):
                 raise ValueError(f"stats in {path} are not finite with a positive std")
+            data = manifest["data"]
+            if not (isinstance(data, dict) and sorted(data) == ["dt", "length", "names"]
+                    and all(type(data[k]) in (int, float) and 0 < data[k] < np.inf
+                            for k in ("dt", "length"))
+                    and isinstance(data["names"], list)
+                    and len(data["names"]) == config.vae.param_dim
+                    and all(isinstance(n, str) for n in data["names"])):
+                raise ValueError(f"data in {path} is not a finite positive dt and length "
+                                 f"and {config.vae.param_dim} parameter names")
             if not isinstance(manifest["weights"], list):
                 raise ValueError(f"weights in {path} are not a list")
             lineage, loss_curve = manifest["lineage"], manifest["loss_curve"]
@@ -144,18 +176,22 @@ class ModelCheckpoint:
             rng = np.random.default_rng(seed)
             ckpt = cls(vae=Vae(config.vae, rng),
                        transformer=LatentTransformer(config.transformer, rng), config=config,
-                       stats=stats, seed=seed,
+                       stats=stats, seed=seed, data=data,
                        lineage=lineage, loss_curve=loss_curve)
             for listed, wanted in zip_longest(manifest["weights"], ckpt.weight_list()):
                 if listed != wanted:
                     raise ValueError(f"{path} does not fit the model: it lists the weight "
                                      f"{listed} where the model has {wanted}")
-        raw = (directory / "weights.bin").read_bytes()
+            crc = manifest["weights_crc32"]
+        weights = directory / "weights.bin"
+        raw = weights.read_bytes()
         named = ckpt.named_parameters()
         sizes = [p.data.size for _, p in named]
         if len(raw) != 8 * sum(sizes):
-            raise ValueError(f"{directory / 'weights.bin'} holds {len(raw)} bytes; "
+            raise ValueError(f"{weights} holds {len(raw)} bytes; "
                              f"the manifest's weights need {8 * sum(sizes)}")
+        if zlib.crc32(raw) != crc:
+            raise ValueError(f"checksum mismatch in {weights}: {path} records {crc!r}")
         for (_, p), start in zip(named, accumulate(sizes, initial=0)):
             p.data = np.frombuffer(raw, "<f8", p.data.size, 8 * start).reshape(p.data.shape).copy()
         return ckpt
@@ -220,7 +256,8 @@ def _run_epochs(ckpt: ModelCheckpoint, trajs, window_index, epochs,
 
 def train(dataset: Sequence[Trajectory], config: TrainConfig, seed: int,
           dataset_id: str = "initial") -> ModelCheckpoint:
-    """Joint Adam optimisation over shuffled windows; deterministic per seed."""
+    """Joint Adam optimisation over shuffled windows; deterministic per seed.
+    The checkpoint's ``data`` is the first trajectory's."""
     if not dataset:
         raise ValueError("empty dataset")
     window_index = extract_windows(dataset, config.transformer.lookback,
@@ -228,8 +265,11 @@ def train(dataset: Sequence[Trajectory], config: TrainConfig, seed: int,
     rng = np.random.default_rng(seed)
     vae = Vae(config.vae, rng)
     transformer = LatentTransformer(config.transformer, rng)
+    first = dataset[0]
     ckpt = ModelCheckpoint(vae=vae, transformer=transformer, config=config,
-                           stats=NormStats.fit(dataset), seed=seed)
+                           stats=NormStats.fit(dataset), seed=seed,
+                           data={"dt": first.dt, "length": first.length,
+                                 "names": list(first.param.names())})
     _run_epochs(ckpt, dataset, window_index, config.epochs, rng, dataset_id)
     return ckpt
 

@@ -46,10 +46,9 @@ class AttentionBlock:
         self.wk = lin("self_k", d, d)
         self.wv = lin("self_v", d, d)
         self.wo = lin("self_o", d, d)
-        # never read (see __call__), but their draws fix every later weight
-        # and they belong to the version-1 checkpoint layout
-        lin("cross_q", d, d)
-        lin("cross_k", d, d)
+        # the draws of the query and key projections that one-token
+        # cross-attention never reads (see condition) keep later weights
+        params.rng.standard_normal((2, d, d))
         self.cv = lin("cross_v", d, d)
         self.co = lin("cross_o", d, d)
         self.ff1 = lin("ff1", d, config.ff_mult * d)

@@ -116,7 +116,7 @@ def test_run_loop_budget_exhaustion_grows_trained_set(tmp_path):
         assert json.load(f) == state.to_dict()
 
 
-def test_run_loop_saves_state_when_generator_fails(tmp_path, trained_pair):
+def test_run_loop_writes_nothing_when_generator_fails(tmp_path, trained_pair):
     ckpt, initial = trained_pair
 
     def broken(point):
@@ -124,8 +124,8 @@ def test_run_loop_saves_state_when_generator_fails(tmp_path, trained_pair):
 
     with pytest.raises(RuntimeError):
         run_loop(ckpt, broken, [H(0.9), H(1.0)], budget=1, threshold=0.0,
-                 initial_data=initial, ensemble_n=4, out_dir=tmp_path)
-    assert (tmp_path / "adaptive_history.json").exists()
+                 initial_data=initial, ensemble_n=4, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_loop_rejects_a_trajectory_at_another_point(tmp_path, trained_pair):
@@ -137,8 +137,8 @@ def test_run_loop_rejects_a_trajectory_at_another_point(tmp_path, trained_pair):
     with pytest.raises(ValueError, match="generator returned a trajectory at"):
         run_loop(ckpt, elsewhere, [H(0.2), ParamPoint.of(mu=0.9, omega=2.0)],
                  budget=1, threshold=0.0, initial_data=initial, ensemble_n=4,
-                 out_dir=tmp_path)
-    assert (tmp_path / "adaptive_history.json").exists()
+                 out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_loop_rejects_bad_budget(trained_pair):

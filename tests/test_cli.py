@@ -421,6 +421,39 @@ def test_adapt_refuses_grid_solves_that_disagree_with_the_data_exit_5(runner, tm
     assert not (tmp_path / "adapt" / "checkpoint").exists()
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda t: {"states": np.tile(t.states, 2)}, "grid width 32 differs from the checkpoint's 16"),
+    (lambda t: {"length": 2 * t.length},
+     "domain length {} differs from the checkpoint's {}"),
+    (lambda t: {"param": ParamPoint.of(nu=0.3)},
+     "parameter names ['nu'] differs from the checkpoint's ['mu', 'omega']"),
+    (lambda t: {"dt": 0.15}, "dt 0.15 does not divide the checkpoint's dt 0.2 a whole number"),
+], ids=["grid_width", "length", "names", "dt"])
+def test_data_the_checkpoint_was_not_fitted_on_exit_5_before_out(runner, tmp_path,
+                                                                 change, message):
+    """The checkpoint was fitted on the even-index split of 16-wide Hopf
+    files at dt 0.1, so at dt 0.2; infer, uq and adapt refuse a file of
+    another grid width, length or parameter names, or a dt that does not
+    divide 0.2 a whole number of times, naming the file, the field and both
+    values."""
+    data = run_generate(runner, tmp_path)
+    ckpt = run_train(runner, tmp_path, data)
+    good = read_trajectory(data / "hopf_mu0.3.updr")
+    (tmp_path / "bad").mkdir()
+    bad = tmp_path / "bad" / "b.updr"
+    write_trajectory(bad, dataclasses.replace(good, **change(good)))
+    message = message.format(2 * good.length, good.length)
+    out = tmp_path / "out"
+    for args in (["infer", "--checkpoint", str(ckpt), "--data", str(bad)],
+                 ["uq", "--checkpoint", str(ckpt), "--data", str(bad), "--n", "2"],
+                 ["adapt", "--config", str(tmp_path / "config.json"), "--checkpoint",
+                  str(ckpt), "--data", str(bad.parent)]):
+        res = runner.invoke(main, [*args, "--out", str(out)])
+        assert res.exit_code == 5, res.output
+        assert f"{bad}: {message}" in res.output
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
 def test_adapt_non_finite_threshold_exit_5_before_anything_is_read(runner, tmp_path,
                                                                    threshold):
@@ -475,13 +508,19 @@ def test_malformed_inputs_exit_5_naming_the_file(runner, tmp_path):
     for args in commands:
         assert_exit_5(args, weights, "bytes")
     weights.write_bytes(weights.read_bytes()[:-8])
-    manifest = ckpt / "manifest.json"
-    manifest.write_text(manifest.read_text().replace('"format_version": 1',
-                                                     '"format_version": 2'))
+    good_weights = weights.read_bytes()
+    weights.write_bytes(good_weights[:-1] + bytes([good_weights[-1] ^ 1]))
     for args in commands:
-        assert_exit_5(args, manifest, "format_version")
-    manifest.write_text(manifest.read_text().replace('"format_version": 2',
-                                                     '"format_version": 1'))
+        assert_exit_5(args, weights, "checksum mismatch")
+    weights.write_bytes(good_weights)
+    manifest = ckpt / "manifest.json"
+    for version in ("1", "3"):
+        manifest.write_text(manifest.read_text().replace('"format_version": 2',
+                                                         f'"format_version": {version}'))
+        for args in commands:
+            assert_exit_5(args, manifest, f"unsupported checkpoint format_version {version}")
+        manifest.write_text(manifest.read_text().replace(f'"format_version": {version}',
+                                                         '"format_version": 2'))
 
     # a seed that is not an integer; stats narrower than the state, not
     # numbers, not finite or with a zero std; weights that are not a list

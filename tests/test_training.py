@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,7 +55,7 @@ def zeroed_model_checkpoint(config):
                       std=np.ones(config.vae.state_dim),
                       floored=np.zeros(config.vae.state_dim, dtype=bool))
     return ModelCheckpoint(vae=vae, transformer=tf, config=config, stats=stats,
-                           seed=0)
+                           seed=0, data={"dt": 0.3, "length": 1.0, "names": ["mu"]})
 
 
 # ----------------------------------------------------------------- total_loss
@@ -248,7 +249,7 @@ def test_checkpoint_load_refuses_weights_of_wrong_size(tmp_path, change):
     assert "bytes" in str(err.value)
 
 
-@pytest.mark.parametrize("version", [2, 0, None])
+@pytest.mark.parametrize("version", [1, 3, 0, None])
 def test_checkpoint_load_refuses_other_format_versions(tmp_path, version):
     ck = saved_checkpoint(tmp_path)
     manifest = json.loads((ck / "manifest.json").read_text())
@@ -297,6 +298,72 @@ def test_checkpoint_load_refuses_a_seed_that_is_not_a_natural_number(tmp_path, s
     (ck / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="seed .* in .*manifest.json"):
         ModelCheckpoint.load(ck)
+
+
+def test_a_one_bit_flip_anywhere_in_the_weights_is_refused(tmp_path):
+    """The manifest's CRC32 of ``weights.bin`` catches every single-bit
+    change, here one at every byte of a checkpoint with the smallest sizes."""
+    cfg = TrainConfig(
+        vae=VaeConfig(state_dim=2, latent_dim=1, hidden=(2,), param_dim=1, embed_dim=1),
+        transformer=TransformerConfig(lookback=2, horizon=1, latent_dim=1, width=2,
+                                      heads=1, blocks=1, param_dim=1, ff_mult=1),
+        epochs=1, batch_size=8)
+    ck = tmp_path / "ck"
+    train(tiny_dataset(n_traj=1, n_t=6, n_xy=2), cfg, seed=5).save(ck)
+    weights = ck / "weights.bin"
+    good = weights.read_bytes()
+    assert len(good) == 792
+    for i, byte in enumerate(good):
+        weights.write_bytes(good[:i] + bytes([byte ^ (1 << i % 8)]) + good[i + 1:])
+        with pytest.raises(ValueError, match="checksum mismatch in .*weights.bin"):
+            ModelCheckpoint.load(ck)
+    weights.write_bytes(good)
+    ModelCheckpoint.load(ck)
+
+
+def test_checkpoint_keeps_the_fitted_data_contract(tmp_path):
+    dataset = tiny_dataset()
+    ckpt = train(dataset, tiny_config(epochs=1), seed=5)
+    assert ckpt.data == {"dt": dataset[0].dt, "length": 1.0, "names": ["mu"]}
+    ckpt.save(tmp_path / "ck")
+    assert ModelCheckpoint.load(tmp_path / "ck").data == ckpt.data
+
+
+@pytest.mark.parametrize("data", [
+    None, [], {"dt": 0.3, "length": 1.0}, {"dt": 0.3, "length": 1.0, "names": ["mu"], "x": 1},
+    {"dt": 0.0, "length": 1.0, "names": ["mu"]}, {"dt": 0.3, "length": -1.0, "names": ["mu"]},
+    {"dt": float("nan"), "length": 1.0, "names": ["mu"]},
+    {"dt": 0.3, "length": float("inf"), "names": ["mu"]},
+    {"dt": "0.3", "length": 1.0, "names": ["mu"]}, {"dt": True, "length": 1.0, "names": ["mu"]},
+    {"dt": 0.3, "length": 1.0, "names": []}, {"dt": 0.3, "length": 1.0, "names": ["mu", "x"]},
+    {"dt": 0.3, "length": 1.0, "names": [1]}, {"dt": 0.3, "length": 1.0, "names": "mu"},
+])
+def test_checkpoint_load_refuses_a_malformed_data_contract(tmp_path, data):
+    ck = saved_checkpoint(tmp_path)
+    manifest = json.loads((ck / "manifest.json").read_text())
+    manifest["data"] = data
+    (ck / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="data in .*manifest.json is not"):
+        ModelCheckpoint.load(ck)
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(dt=0.15), None), (dict(dt=0.1), None), (dict(dt=0.3), None),
+    (dict(dt=0.6), "dt 0.6 does not divide the checkpoint's dt 0.3"),
+    (dict(dt=0.2), "dt 0.2 does not divide the checkpoint's dt 0.3"),
+    (dict(length=2.0), "domain length 2.0 differs from the checkpoint's 1.0"),
+    (dict(param=ParamPoint.of(nu=0.2)), "parameter names ['nu'] differs from the checkpoint's"),
+    (dict(states=np.zeros((30, 16))), "grid width 16 differs from the checkpoint's 8"),
+])
+def test_check_fits_refuses_data_the_model_was_not_fitted_on(change, message):
+    dataset = tiny_dataset()
+    ckpt = zeroed_model_checkpoint(tiny_config())
+    traj = Trajectory(**{**vars(dataset[0]), **change})
+    if message is None:
+        ckpt.check_fits(traj, "file.updr")
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"file.updr: {message}")):
+            ckpt.check_fits(traj, "file.updr")
 
 
 # ---------------------------------------------------------------- determinism

@@ -129,14 +129,7 @@ def test_forecast_matches_full_window_reference(blocks, batch):
         model, full_window_forecast, np.random.default_rng(10), batch)
     np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-12)
     for (name, _), got, want in zip(model.named_parameters(), fast_grads, ref_grads):
-        if is_cross_qk(name):  # never read
-            assert got is None and want is None
-        else:
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-
-def is_cross_qk(name):
-    return ".cross_q." in name or ".cross_k." in name
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
 
 
 def multi_head_attention(block, q_in, kv_in, proj_q, proj_k, proj_v, proj_o,
@@ -155,20 +148,18 @@ def multi_head_attention(block, q_in, kv_in, proj_q, proj_k, proj_v, proj_o,
     return T.linear(ctx, proj_o)
 
 
-def cross_attention_forecast(model, window, xi):
+def cross_attention_forecast(model, window, xi, cross_qk):
     """The forecast with every block's conditioning as general multi-head
     cross-attention from its rows to the parameter token, through the
-    cross_q/cross_k projections that the model itself never reads. The
-    parameter projection and the head run on ``(B, 1, n)`` stacks, as in
-    the model, so that their products sum in the model's order."""
+    query and key projections ``cross_qk[i]`` of block i, which the model
+    itself does not have. The parameter projection and the head run on
+    ``(B, 1, n)`` stacks, as in the model, so that their products sum in
+    the model's order."""
     c = model.config
     batch = window.shape[0]
-    named = dict(model.named_parameters())
     h = T.add(T.linear(Tensor(window), model.in_proj), model.pos)
     xi_tokens = T.linear(Tensor(xi[:, None]), model.xi_proj)
-    for i, block in enumerate(model.blocks):
-        cq, ck = ((named[f"transformer.block{i}.cross_{p}.w"],
-                   named[f"transformer.block{i}.cross_{p}.b"]) for p in "qk")
+    for i, (block, (cq, ck)) in enumerate(zip(model.blocks, cross_qk)):
         q = c.lookback
         rows, mask = ((T.slice_axis(h, 1, q - 1, q), None) if i == c.blocks - 1
                       else (h, block.mask))
@@ -189,11 +180,12 @@ def test_forecast_equals_general_cross_attention(blocks, batch):
     bit for bit when only the last position is computed (blocks=1)."""
     model = make_model(blocks=blocks, param_dim=2)
     rng = np.random.default_rng(11)
-    for name, p in model.named_parameters():
-        if is_cross_qk(name):
-            p.data[:] = rng.standard_normal(p.shape)
+    d = model.config.width
+    cross_qk = [[(Tensor(rng.standard_normal((d, d)), requires_grad=True),
+                  Tensor(rng.standard_normal(d), requires_grad=True)) for _ in "qk"]
+                for _ in model.blocks]
     (fast, fast_grads), (ref, ref_grads) = outputs_and_grads(
-        model, cross_attention_forecast, rng, batch)
+        model, lambda m, w, x: cross_attention_forecast(m, w, x, cross_qk), rng, batch)
 
     def same(got, want, name):
         if blocks == 1:
@@ -203,10 +195,9 @@ def test_forecast_equals_general_cross_attention(blocks, batch):
 
     same(fast, ref, "forecast")
     for (name, _), got, want in zip(model.named_parameters(), fast_grads, ref_grads):
-        if is_cross_qk(name):
-            assert got is None and not np.any(want)
-        else:
-            same(got, want, name)
+        same(got, want, name)
+    for w, b in (pair for block_qk in cross_qk for pair in block_qk):
+        assert w.grad is not None and not np.any(w.grad) and not np.any(b.grad)
 
 
 def test_forecast_wrong_window_length():
@@ -348,7 +339,8 @@ def sized_checkpoint(size, blocks, seed=0):
                       std=rng.uniform(0.5, 2.0, s["state_dim"]),
                       floored=np.zeros(s["state_dim"], dtype=bool))
     return ModelCheckpoint(vae=vae, transformer=model, config=config, stats=stats,
-                           seed=seed)
+                           seed=seed, data={"dt": 0.2, "length": 1.0,
+                                            "names": sorted(s["param"])})
 
 
 @pytest.mark.parametrize("blocks", [1, 2])

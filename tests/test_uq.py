@@ -27,7 +27,7 @@ def make_checkpoint(seed=0, state_dim=8, latent_dim=2, hidden=(12,)):
     stats = NormStats(mean=np.zeros(state_dim), std=np.ones(state_dim),
                       floored=np.zeros(state_dim, dtype=bool))
     return ModelCheckpoint(vae=vae, transformer=tf, config=cfg, stats=stats,
-                           seed=seed)
+                           seed=seed, data={"dt": 0.2, "length": 1.0, "names": ["mu"]})
 
 
 XI = ParamPoint.of(mu=0.4)
