@@ -18,7 +18,7 @@ import numpy as np
 from .datagen import ParamPoint, Trajectory, write_json
 from .metrics import ZeroVarianceError, pearson, scaled_mse, write_param_csv
 from .training import ModelCheckpoint, forecast_trajectory, retrain
-from .uq import aggregate_param, check_ensemble_size, second_pass
+from .uq import check_ensemble_size, second_pass
 
 
 @dataclass
@@ -38,12 +38,10 @@ class AdaptiveState:
         write_json(path, self.to_dict())
 
 
-def select_next(nu_grid: Sequence, trained_set: Sequence[ParamPoint]) -> ParamPoint:
-    """Argmax of nu over untrained grid points; ties break to the smallest
-    parameter vector in lexicographic order. ``nu_grid`` is a sequence of
-    (ParamPoint, nu_xi) pairs."""
-    trained = set(trained_set)
-    candidates = [(p, v) for p, v in nu_grid if p not in trained]
+def select_next(candidates: Sequence) -> ParamPoint:
+    """Argmax of nu over the untrained grid points ``candidates``, a
+    sequence of (ParamPoint, nu_xi) pairs; ties break to the smallest
+    parameter vector in lexicographic order."""
     if not candidates:
         raise ValueError("no untrained grid points left")
     best = max(candidates, key=lambda pv: (pv[1], tuple(-x for x in pv[0].vector())))
@@ -60,7 +58,7 @@ def evaluate_grid(ckpt: ModelCheckpoint, truths: dict, grid, ensemble_n: int,
     for point in grid:
         predicted, truth = forecast_trajectory(ckpt, truths[point])
         nu, _ = second_pass(predicted, ckpt, point, n=ensemble_n, seed=seed)
-        nu_list.append(aggregate_param(nu))
+        nu_list.append(float(nu.mean()))
         mse_list.append(scaled_mse(predicted, truth)[1])
         preds[point] = predicted
     return nu_list, mse_list, preds
@@ -125,7 +123,7 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
         if converged or iteration == budget:
             break
 
-        chosen = select_next(list(zip(grid, nu_list)), state.trained_set)
+        chosen = select_next(untrained)
         record["chosen"] = chosen.as_dict()
         retrain(ckpt, [truths[chosen]], replay_pool, replay_fraction, retrain_epochs,
                 seed=seed + 1000 + iteration,

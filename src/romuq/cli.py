@@ -223,13 +223,13 @@ def cmd_infer(ckpt_dir, data_file, out_dir):
 def cmd_uq(ckpt_dir, data_file, ensemble_n, seed, out_dir):
     """Second-pass ensemble UQ over a rollout; emit nu CSV tables."""
     _check_seed(seed)
-    from .uq import aggregate_param, check_ensemble_size, second_pass, write_uq_csvs
+    from .uq import check_ensemble_size, second_pass, write_uq_csvs
     check_ensemble_size(ensemble_n)
     ckpt, traj, predicted, truth = _predict_for(ckpt_dir, data_file)
     nu, ensemble = second_pass(predicted, ckpt, traj.param, n=ensemble_n, seed=seed)
     out = Path(out_dir)
     write_uq_csvs(out, nu)
-    write_param_csv(out / "nu_xi.csv", [traj.param], nu_xi=[aggregate_param(nu)])
+    write_param_csv(out / "nu_xi.csv", [traj.param], nu_xi=[float(nu.mean())])
     write_param_csv(out / "metrics.csv", [traj.param],
                     relative_mse_percent=[relative_mse(predicted, truth)],
                     crps_printed=[crps(ensemble, truth, form="printed")],

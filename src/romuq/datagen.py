@@ -246,33 +246,29 @@ VARIANCE_FLOOR = 1e-8
 class NormStats:
     mean: np.ndarray
     std: np.ndarray
-    floored: np.ndarray  # bool mask of variance-floored features
 
     def forward(self, states: np.ndarray) -> np.ndarray:
         return (states - self.mean) / self.std
 
     @classmethod
     def fit(cls, dataset: list) -> "NormStats":
-        """Per-feature zero-mean unit-variance map fit on ``dataset``; zero-variance
-        features have their variance floored at 1e-8 and flagged."""
+        """Zero-mean unit-variance map fit on ``dataset``; each variance is
+        floored at VARIANCE_FLOOR, so a constant feature maps to zero."""
         stacked = np.concatenate([t.states for t in dataset], axis=0)
-        var = stacked.var(axis=0)
         return cls(mean=stacked.mean(axis=0),
-                   std=np.sqrt(np.maximum(var, VARIANCE_FLOOR)),
-                   floored=var < VARIANCE_FLOOR)
+                   std=np.sqrt(np.maximum(stacked.var(axis=0), VARIANCE_FLOOR)))
 
     def inverse(self, states: np.ndarray) -> np.ndarray:
         return states * self.std + self.mean
 
     def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist(),
-                "floored": self.floored.astype(int).tolist()}
+        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormStats":
+        """Reads ``mean`` and ``std`` only: an older manifest's ``floored`` is ignored."""
         return cls(mean=np.array(d["mean"], dtype=np.float64),
-                   std=np.array(d["std"], dtype=np.float64),
-                   floored=np.array(d["floored"], dtype=bool))
+                   std=np.array(d["std"], dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

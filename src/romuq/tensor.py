@@ -77,9 +77,6 @@ class Tape:
         _TAPE_STACK.pop()
         return False
 
-    def __len__(self):
-        return len(self.ops)
-
 
 _TAPE_STACK: list[Tape] = []
 
@@ -281,11 +278,11 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record("reshape", (a,), _reshaped("reshape", a.data, shape), bwd)
 
 
-def transpose(a: Tensor, axes=None, shape=None) -> Tensor:
+def transpose(a: Tensor, axes, shape=None) -> Tensor:
     """``a`` with its axes permuted; with ``shape``, reshaped to it first."""
     in_shape = a.data.shape
     x = a.data if shape is None else _reshaped("transpose", a.data, shape)
-    axes = tuple(reversed(range(x.ndim))) if axes is None else tuple(axes)
+    axes = tuple(axes)
 
     def bwd(g):
         g = g.transpose(np.argsort(axes))

@@ -79,21 +79,11 @@ def second_pass(predicted_states: np.ndarray, ckpt: ModelCheckpoint,
     return nu, ensemble
 
 
-def aggregate_time(nu: np.ndarray) -> np.ndarray:
-    """Spatially averaged uncertainty per time step."""
-    return nu.mean(axis=1)
-
-
-def aggregate_param(nu: np.ndarray) -> float:
-    """Uncertainty collapsed over space and time to one scalar per xi."""
-    return float(nu.mean())
-
-
 def write_uq_csvs(directory, nu: np.ndarray):
-    """Emit uq_field.csv (t, d, nu) and nu_t.csv for plotting."""
+    """Emit uq_field.csv (t, d, nu) and nu_t.csv (its spatial mean) for plotting."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_csv(directory / "uq_field.csv", ("t", "d", "nu"),
               ((t, d, v) for t, row in enumerate(nu.tolist()) for d, v in enumerate(row)))
-    write_csv(directory / "nu_t.csv", ("t", "nu_t"), enumerate(aggregate_time(nu)))
+    write_csv(directory / "nu_t.csv", ("t", "nu_t"), enumerate(nu.mean(axis=1)))
 

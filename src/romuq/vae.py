@@ -66,11 +66,12 @@ class Vae:
     # ------------------------------------------------------------------
 
     def embed_xi(self, xi, batch: int) -> Tensor:
+        # xi_embed then the first layer's rows: factored on purpose (README, Parameter conditioning)
         return T.linear(Tensor(param_rows(xi, batch, self.config.param_dim)), self.xi_embed)
 
     def encode(self, phi: Union[np.ndarray, Tensor], xi) -> LatentDistribution:
         """Map normalised snapshots (B, state_dim) to latent Gaussians."""
-        x = phi if isinstance(phi, Tensor) else Tensor(np.atleast_2d(phi))
+        x = phi if isinstance(phi, Tensor) else Tensor(phi)
         if x.shape[-1] != self.config.state_dim:
             raise T.ShapeError("encode", x.shape, (self.config.state_dim,))
         h = T.concat([x, self.embed_xi(xi, x.shape[0])], axis=1)
@@ -81,7 +82,7 @@ class Vae:
 
     def decode(self, z: Union[np.ndarray, Tensor], xi) -> Tensor:
         """Map latents (B, latent_dim) back to normalised snapshots."""
-        h = z if isinstance(z, Tensor) else Tensor(np.atleast_2d(z))
+        h = z if isinstance(z, Tensor) else Tensor(z)
         if h.shape[-1] != self.config.latent_dim:
             raise T.ShapeError("decode", h.shape, (self.config.latent_dim,))
         h = T.concat([h, self.embed_xi(xi, h.shape[0])], axis=1)
@@ -102,13 +103,10 @@ def reparameterize(dist: LatentDistribution, noise: Union[np.ndarray, Tensor]) -
 def kld(dist: LatentDistribution) -> Tensor:
     """KL divergence to the standard-normal prior.
 
-    0.5 * sum_i (sigma_i^2 + mu_i^2 - 1 - log sigma_i^2), summed over the
-    latent axis and averaged over any batch axis. Non-negative, zero only
-    at mu = 0, sigma = 1.
+    0.5 * sum_i (sigma_i^2 + mu_i^2 - 1 - log sigma_i^2) of (B, Z)
+    latents, summed over the latent axis and averaged over the batch.
+    Non-negative, zero only at mu = 0, sigma = 1.
     """
     mu, lv = dist.mu, dist.log_var
     per_dim = T.sub(T.sub(T.add(T.exp(lv), T.mul(mu, mu)), Tensor(1.0)), lv)
-    summed = T.tensor_sum(per_dim, axis=per_dim.data.ndim - 1)
-    if summed.data.ndim > 0:
-        summed = T.tensor_mean(summed)
-    return T.scale(summed, 0.5)
+    return T.scale(T.tensor_mean(T.tensor_sum(per_dim, axis=1)), 0.5)

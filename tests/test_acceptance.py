@@ -19,7 +19,7 @@ from romuq.tensor import Tape, Tensor, backward
 from romuq.training import (LossWeights, ModelCheckpoint, TrainConfig,
                             predict_rollout, train)
 from romuq.transformer import TransformerConfig
-from romuq.uq import aggregate_time, second_pass, write_uq_csvs
+from romuq.uq import second_pass, write_uq_csvs
 from romuq.vae import LatentDistribution, Vae, VaeConfig, kld
 
 # ---------------------------------------------------------------- fixtures
@@ -296,7 +296,7 @@ def test_criterion_9_uq_temporal_structure(criterion, hopf_run):
     q = ckpt.config.transformer.lookback
     pred, _ = predict_rollout(ckpt, truth.states[:q], point, HOPF_NT - q)
     nu, _ = second_pass(pred, ckpt, point, n=64, seed=0)
-    nu_t = aggregate_time(nu)
+    nu_t = nu.mean(axis=1)
     n = len(nu_t)
     transient_max = float(nu_t[: int(0.4 * n)].max())
     plateau_mean = float(nu_t[int(0.7 * n):].mean())

@@ -24,22 +24,23 @@ def H(mu):
 
 def test_select_next_argmax_and_exclusion():
     nu_grid = [(P(0.1), 0.5), (P(0.2), 0.9), (P(0.3), 0.7)]
-    assert select_next(nu_grid, []) == P(0.2)
-    assert select_next(nu_grid, [P(0.2)]) == P(0.3)
-    assert select_next(nu_grid, [P(0.2), P(0.3)]) == P(0.1)
+    assert select_next(nu_grid) == P(0.2)
+    # run_loop passes only the untrained points
+    assert select_next([nu_grid[0], nu_grid[2]]) == P(0.3)
+    assert select_next(nu_grid[:1]) == P(0.1)
     with pytest.raises(ValueError):
-        select_next(nu_grid, [P(0.1), P(0.2), P(0.3)])
+        select_next([])
 
 
 def test_select_next_tie_breaks_lexicographically():
     nu_grid = [(P(0.3), 1.0), (P(0.1), 1.0), (P(0.2), 1.0)]
-    assert select_next(nu_grid, []) == P(0.1)
+    assert select_next(nu_grid) == P(0.1)
     two = [(ParamPoint.of(a=1.0, b=2.0), 1.0), (ParamPoint.of(a=1.0, b=1.0), 1.0)]
-    assert select_next(two, []) == ParamPoint.of(a=1.0, b=1.0)
+    assert select_next(two) == ParamPoint.of(a=1.0, b=1.0)
 
 
 def test_select_next_single_candidate():
-    assert select_next([(P(0.5), 0.0)], []) == P(0.5)
+    assert select_next([(P(0.5), 0.0)]) == P(0.5)
 
 
 # -------------------------------------------------------------- state on disk

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from romuq.datagen import (NormStats, ParamPoint, SolverError,
+from romuq.datagen import (VARIANCE_FLOOR, NormStats, ParamPoint, SolverError,
                            Trajectory, read_trajectory, solve_ks,
                            solve_hopf_surrogate, split_even_odd,
                            stuart_landau, write_trajectory)
@@ -153,7 +153,7 @@ def test_normalize_constant_feature_flagged_and_zeroed():
     traj = make_traj(np.full((8, 3), 2.5), mu=0.0)
     stats = NormStats.fit([traj])
     np.testing.assert_allclose(stats.forward(traj.states), 0.0)
-    assert stats.floored.all()
+    np.testing.assert_array_equal(stats.std, np.sqrt(VARIANCE_FLOOR))
 
 
 def test_normalize_standardised_data_stats():

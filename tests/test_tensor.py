@@ -67,7 +67,7 @@ PRIMITIVE_CASES = {
     "layer_norm:broadcast_residual": lambda a, gamma, beta, r: T.tensor_sum(
         T.mul(T.layer_norm(a, gamma, beta, residual=r), a)),
     "reshape": lambda a: T.tensor_sum(T.mul(T.reshape(a, (a.size,)), T.reshape(a, (a.size,)))),
-    "transpose": lambda a: T.tensor_sum(T.mul(T.transpose(a), T.transpose(a))),
+    "transpose": lambda a: T.tensor_sum(T.mul(T.transpose(a, (1, 0)), T.transpose(a, (1, 0)))),
     "transpose:shape": lambda a: T.tensor_sum(T.mul(T.transpose(a, (1, 0, 2), (2, 2, 4)),
                                                     T.transpose(a, (1, 0, 2), (2, 2, 4)))),
     "concat": lambda a, b: T.tensor_sum(T.mul(T.concat([a, b], axis=0), T.concat([a, b], axis=0))),
@@ -237,7 +237,7 @@ PRIMITIVE_LABELS = {"matmul", "add", "sub", "mul", "scale", "exp", "gelu",
 COPYING_PRIMITIVES = {
     "scale": (lambda a: T.scale(a, 1.0), lambda x: x * 1.0),
     "reshape": (lambda a: T.reshape(a, (-1,)), lambda x: x.reshape(-1)),
-    "transpose": (T.transpose, lambda x: x.T),
+    "transpose": (lambda a: T.transpose(a, (1, 0)), lambda x: x.T),
     "transpose:shape": (lambda a: T.transpose(a, (1, 0), (3, 2)), lambda x: x.reshape(3, 2).T),
     "slice": (lambda a: T.slice_axis(a, 1, 1, 3), lambda x: x[:, 1:]),
     "concat": (lambda a: T.concat([a, a], axis=1),
@@ -272,10 +272,10 @@ def test_non_finite_raised_exactly_when_an_element_is(values, name, before, tape
                     with pytest.raises(NonFiniteError) as err:
                         primitive(a)
                     assert err.value.op == name.split(":")[0]
-                    assert len(tape) == before
+                    assert len(tape.ops) == before
                 else:
                     primitive(a)
-                    assert len(tape) == before + 1
+                    assert len(tape.ops) == before + 1
         elif expect_raise:
             with pytest.raises(NonFiniteError) as err:
                 primitive(a)
@@ -321,9 +321,9 @@ def test_forecast_without_tape_records_nothing():
     window = np.random.default_rng(1).standard_normal((1, 10, 4))
     with Tape() as tape:
         taped = transformer.forecast(window, np.zeros(2))
-    assert len(tape) == 26
+    assert len(tape.ops) == 26
     out = transformer.forecast(window, np.zeros(2))
-    assert len(tape) == 26 and not T._TAPE_STACK
+    assert len(tape.ops) == 26 and not T._TAPE_STACK
     assert not out.requires_grad
     assert out.data.tobytes() == taped.data.tobytes()
 
@@ -340,7 +340,7 @@ def test_training_step_records_every_op_by_a_primitive():
                              rng.standard_normal((3, 2)), LossWeights(),
                              rng.standard_normal((3, 10, 4)))
         backward(tape, loss)
-    assert len(tape) == 76
+    assert len(tape.ops) == 76
     assert {entry.name for entry in tape.ops} <= PRIMITIVE_LABELS
 
 
@@ -388,7 +388,7 @@ def grads_of(build, arrays, weights):
     with Tape() as tape:
         out = build(*tensors)
         backward(tape, T.tensor_sum(T.mul(out, Tensor(weights))))
-    return out.data.tobytes(), [t.grad.tobytes() for t in tensors], len(tape)
+    return out.data.tobytes(), [t.grad.tobytes() for t in tensors], len(tape.ops)
 
 
 @pytest.mark.parametrize("a_shape", [(5, 4), (3, 7, 4)])

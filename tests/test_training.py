@@ -52,8 +52,7 @@ def zeroed_model_checkpoint(config):
     for _, p in vae.named_parameters() + tf.named_parameters():
         p.data[:] = 0.0
     stats = NormStats(mean=np.zeros(config.vae.state_dim),
-                      std=np.ones(config.vae.state_dim),
-                      floored=np.zeros(config.vae.state_dim, dtype=bool))
+                      std=np.ones(config.vae.state_dim))
     return ModelCheckpoint(vae=vae, transformer=tf, config=config, stats=stats,
                            seed=0, data={"dt": 0.3, "length": 1.0, "names": ["mu"]})
 
@@ -280,7 +279,7 @@ def test_checkpoint_load_refuses_the_weights_in_another_order(tmp_path):
     assert weights[1]["name"] in str(err.value) and "manifest.json" in str(err.value)
 
 
-@pytest.mark.parametrize("key", ["mean", "std", "floored"])
+@pytest.mark.parametrize("key", ["mean", "std"])
 def test_checkpoint_load_refuses_stats_of_another_length(tmp_path, key):
     ck = saved_checkpoint(tmp_path)
     manifest = json.loads((ck / "manifest.json").read_text())
@@ -288,6 +287,21 @@ def test_checkpoint_load_refuses_stats_of_another_length(tmp_path, key):
     (ck / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="stats in .*manifest.json are not of length"):
         ModelCheckpoint.load(ck)
+
+
+def test_checkpoint_whose_stats_still_carry_floored_loads(tmp_path):
+    # manifests written before the floored mask was dropped carry it in stats
+    ck = saved_checkpoint(tmp_path)
+    want = ModelCheckpoint.load(ck)
+    manifest = json.loads((ck / "manifest.json").read_text())
+    assert sorted(manifest["stats"]) == ["mean", "std"]
+    manifest["stats"]["floored"] = [0] * len(manifest["stats"]["mean"])
+    (ck / "manifest.json").write_text(json.dumps(manifest))
+    got = ModelCheckpoint.load(ck)
+    assert [p.data.tobytes() for _, p in got.named_parameters()] == \
+        [p.data.tobytes() for _, p in want.named_parameters()]
+    assert got.stats.mean.tobytes() == want.stats.mean.tobytes()
+    assert got.stats.std.tobytes() == want.stats.std.tobytes()
 
 
 @pytest.mark.parametrize("seed", [1.5, "5", None, True, -1])

@@ -336,8 +336,7 @@ def sized_checkpoint(size, blocks, seed=0):
     for _, p in model.named_parameters():  # biases and norms off their init too
         p.data += 0.1 * rng.standard_normal(p.shape)
     stats = NormStats(mean=rng.standard_normal(s["state_dim"]),
-                      std=rng.uniform(0.5, 2.0, s["state_dim"]),
-                      floored=np.zeros(s["state_dim"], dtype=bool))
+                      std=rng.uniform(0.5, 2.0, s["state_dim"]))
     return ModelCheckpoint(vae=vae, transformer=model, config=config, stats=stats,
                            seed=seed, data={"dt": 0.2, "length": 1.0,
                                             "names": sorted(s["param"])})

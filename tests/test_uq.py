@@ -7,8 +7,7 @@ from romuq.datagen import NormStats, ParamPoint, Trajectory
 from romuq.metrics import BLOCK_ROWS, crps, write_param_csv
 from romuq.training import ModelCheckpoint, TrainConfig, train
 from romuq.transformer import LatentTransformer, TransformerConfig
-from romuq.uq import (aggregate_param, aggregate_time, ensemble_noise, member_noise,
-                      second_pass, write_uq_csvs)
+from romuq.uq import ensemble_noise, member_noise, second_pass, write_uq_csvs
 from romuq.vae import Vae, VaeConfig
 from romuq.training import LossWeights
 
@@ -24,8 +23,7 @@ def make_checkpoint(seed=0, state_dim=8, latent_dim=2, hidden=(12,)):
     rng = np.random.default_rng(seed)
     vae = Vae(cfg.vae, rng)
     tf = LatentTransformer(cfg.transformer, rng)
-    stats = NormStats(mean=np.zeros(state_dim), std=np.ones(state_dim),
-                      floored=np.zeros(state_dim, dtype=bool))
+    stats = NormStats(mean=np.zeros(state_dim), std=np.ones(state_dim))
     return ModelCheckpoint(vae=vae, transformer=tf, config=cfg, stats=stats,
                            seed=seed, data={"dt": 0.2, "length": 1.0, "names": ["mu"]})
 
@@ -158,7 +156,7 @@ def test_second_pass_spread_shrinks_with_ensemble_size():
     states = np.random.default_rng(8).standard_normal((4, 8))
 
     def scatter(n):
-        vals = [aggregate_param(second_pass(states, ckpt, XI, n=n, seed=s)[0])
+        vals = [second_pass(states, ckpt, XI, n=n, seed=s)[0].mean()
                 for s in range(6)]
         return np.std(vals)
 
@@ -233,12 +231,12 @@ def test_second_pass_and_crps_hold_the_ensemble_plus_a_bounded_block():
 # --------------------------------------------------------------- aggregations
 
 
-def test_aggregations_on_known_field():
+def test_aggregations_on_known_field(tmp_path):
+    # nu_t.csv holds the spatial mean of nu at every step
     nu = np.array([[1.0, 3.0], [2.0, 2.0], [0.0, 4.0]])
-    np.testing.assert_allclose(aggregate_time(nu), [2.0, 2.0, 2.0])
-    assert aggregate_param(nu) == pytest.approx(2.0)
-    # nu_xi is the mean of nu_t
-    assert aggregate_param(nu) == pytest.approx(np.mean(aggregate_time(nu)))
+    write_uq_csvs(tmp_path, nu)
+    header, *rows = (tmp_path / "nu_t.csv").read_text().splitlines()
+    assert header == "t,nu_t" and rows == ["0,2.0", "1,2.0", "2,2.0"]
 
 
 # ------------------------------------------------------------------ CSV files
