@@ -93,18 +93,35 @@ def _check_agrees(traj: Trajectory, what, ref: Trajectory, ref_name):
             raise ValueError(f"{what}: {field} {value} differs from {want} in {ref_name}")
 
 
-def _load_dataset(data_dir: Path, ckpt=None):
+def _load_dataset(data_dir: Path, check_first):
     """Every trajectory in ``data_dir``; each must agree with the first, and
-    the first must fit ``ckpt`` when one is given."""
+    ``check_first(first, its path)`` may refuse the first."""
     files = sorted(data_dir.glob("*.updr"))
     if not files:
         raise FileNotFoundError(f"no .updr trajectory files in {data_dir}")
     dataset = [read_trajectory(f) for f in files]
     for path, traj in zip(files[1:], dataset[1:]):
         _check_agrees(traj, path, dataset[0], files[0])
-    if ckpt is not None:
-        ckpt.check_fits(dataset[0], files[0])
+    check_first(dataset[0], files[0])
     return dataset
+
+
+def _check_datagen(config: RunConfig, config_path, first: Trajectory, first_path):
+    """Refuse a ``datagen`` section (of ``config_path``, or the defaults)
+    that contradicts ``first``: a case whose solver does not take its
+    parameters, or another n_x, dt or, for KS, domain length."""
+    dg, name = config.datagen, config_path or "the default config"
+    names = first.param.names()
+    if names not in SOLVER_PARAMS[dg.case]:
+        raise ValueError(f"{name}: datagen.case {dg.case!r} cannot solve at the "
+                         f"parameters {list(names)} of {first_path}")
+    facts = [("n_x", dg.n_x, first.n_xy), ("dt", dg.dt, first.dt)]
+    if dg.case == "ks":
+        facts.append(("domain_length", dg.domain_length, first.length))
+    for field, value, want in facts:
+        if value != want:
+            raise ValueError(f"{name}: datagen.{field} {value} differs from {want} "
+                             f"in {first_path}")
 
 
 def _grid(config: RunConfig, names: tuple) -> list:
@@ -171,7 +188,8 @@ def cmd_train(config_path, data_dir, seed, out_dir):
     """Train on the even-index split of every trajectory in --data."""
     from .training import train
     config = _load_config(config_path, seed)
-    dataset = _load_dataset(Path(data_dir))
+    dataset = _load_dataset(Path(data_dir),
+                            lambda first, path: _check_datagen(config, config_path, first, path))
     train_set = [split_even_odd(t)[0] for t in dataset]
     tc = config.train_config(train_set[0].n_xy, len(train_set[0].param.names()))
     ckpt = train(train_set, tc, config.seed, dataset_id=str(data_dir))
@@ -259,7 +277,7 @@ def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir)
     if threshold is not None:
         config.adaptive.threshold = threshold
     ckpt = ModelCheckpoint.load(ckpt_dir)
-    initial = _load_dataset(Path(data_dir), ckpt)
+    initial = _load_dataset(Path(data_dir), ckpt.check_fits)
     grid = _grid(config, initial[0].param.names())
 
     def generator(point: ParamPoint) -> Trajectory:

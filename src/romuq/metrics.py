@@ -63,7 +63,7 @@ def time_blocks(n_t: int, n: int) -> list:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def crps(ensemble: np.ndarray, truth: np.ndarray, form: str = "printed") -> float:
+def crps(ensemble, truth: np.ndarray, form: str = "printed") -> float:
     """Ensemble CRPS averaged over all elements.
 
     ``printed`` uses squared differences:
@@ -73,10 +73,14 @@ def crps(ensemble: np.ndarray, truth: np.ndarray, form: str = "printed") -> floa
     absolute-value ensemble form, the one that scores the spread.
 
     The per-element scores are computed in blocks of time steps (the first
-    axis of ``truth``), so the temporaries stay a few MB.
+    axis of ``truth``), so the temporaries stay a few MB. ``ensemble`` is
+    an array of members or a ``uq.LazyEnsemble``, whose blocks are decoded
+    here one at a time: the ensemble is never held whole.
     """
-    ensemble = np.asarray(ensemble, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
+    lazy = hasattr(ensemble, "block")
+    if not lazy:
+        ensemble = np.asarray(ensemble, dtype=np.float64)
     n = ensemble.shape[0]
     if n < 2:
         raise ValueError("ensemble needs at least two members")
@@ -86,11 +90,13 @@ def crps(ensemble: np.ndarray, truth: np.ndarray, form: str = "printed") -> floa
         raise ValueError(f"unknown CRPS form {form!r}")
 
     shape = truth.shape or (1,)  # a 0-d truth is one step of one element
-    ensemble, truth = ensemble.reshape((n,) + shape), truth.reshape(shape)
+    truth = truth.reshape(shape)
+    if not lazy:
+        ensemble = ensemble.reshape((n,) + shape)
     k = np.arange(n).reshape((n,) + (1,) * len(shape))
     score = np.empty(shape)
     for s in time_blocks(shape[0], n):
-        e = ensemble[:, s]
+        e = ensemble.block(s) if lazy else ensemble[:, s]
         if form == "printed":
             term1 = np.mean((e - truth[None, s]) ** 2, axis=0)
             # sum_{i,j} (e_i - e_j)^2 = 2n sum e^2 - 2 (sum e)^2

@@ -26,13 +26,17 @@ class Adam:
 
     def step(self):
         """One in-place update over the gradients gathered into one flat vector.
-        A missing, misshapen or resized gradient raises ShapeError first."""
+        A missing gradient raises ValueError, and a misshapen or resized one
+        ShapeError, before anything moves."""
         spans = list(zip(self.params, self.offsets, self.offsets[1:]))
         g, m, v, a, b = self.g, self.m, self.v, self.a, self.b
-        for p, lo, hi in spans:
+        for i, (p, lo, hi) in enumerate(spans):
             gi = p.grad
-            if gi is None or gi.shape != p.data.shape or hi - lo != p.data.size:
-                raise ShapeError("Adam.step", p.data.shape, p.data.shape if gi is None else gi.shape)
+            if gi is None:
+                raise ValueError(f"Adam.step: parameter {i} of shape {p.data.shape} "
+                                 "has no gradient")
+            if gi.shape != p.data.shape or hi - lo != p.data.size:
+                raise ShapeError("Adam.step", p.data.shape, gi.shape)
             g[lo:hi] = gi.ravel()
         self.t += 1
         m *= BETA1

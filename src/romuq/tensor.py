@@ -7,6 +7,7 @@ replays the tape in reverse and accumulates gradients additively.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 from typing import Callable, Optional, Sequence
@@ -15,6 +16,22 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import NonFiniteError
+
+
+def _keep_temporaries_on_the_heap():
+    """Fix glibc's mmap threshold at 4 MB and its trim threshold at 8 MB.
+    glibc starts at 128 KB and raises them only after freeing a larger mapped
+    block, so until then every ~1.3 MB training temporary took fresh
+    zero-filled pages (README, Layout). Other C libraries are left alone."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_temporaries_on_the_heap()
 
 
 class ShapeError(ValueError):

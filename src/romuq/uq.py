@@ -48,32 +48,50 @@ def check_ensemble_size(n: int):
         raise ValueError("ensemble size must be >= 2")
 
 
+class LazyEnsemble:
+    """The decoded ensemble of a second pass, ``shape`` (n, n_t, n_xy), held
+    as the latent means and scales, the read-only noise, the checkpoint and
+    the parameters. ``block(s)`` decodes ``ensemble[:, s]`` for a slice of
+    ``blocks`` (``time_blocks(n_t, n)``), the second pass's own decode
+    calls, so it gives the same bits each time while the weights are
+    unchanged. Nothing turns it into an array implicitly."""
+
+    def __init__(self, mu, sigma, noise, ckpt: ModelCheckpoint, xi: ParamPoint,
+                 n_xy: int):
+        self.mu, self.sigma, self.noise, self.ckpt, self.xi = mu, sigma, noise, ckpt, xi
+        n, n_t, _ = noise.shape
+        self.shape = (n, n_t, n_xy)
+        self.blocks = time_blocks(n_t, n)
+
+    def block(self, s: slice) -> np.ndarray:
+        if s not in self.blocks:
+            raise ValueError(f"{s} is not one of the ensemble's time blocks")
+        z = self.mu[None, s] + self.sigma[None, s] * self.noise[:, s]
+        decoded = self.ckpt.vae.decode(z.reshape(-1, z.shape[-1]), self.xi).data
+        n, _, n_xy = self.shape
+        return self.ckpt.stats.inverse(decoded).reshape(n, -1, n_xy)
+
+
 def second_pass(predicted_states: np.ndarray, ckpt: ModelCheckpoint,
                 xi: ParamPoint, n: int = 64, seed: int = 0):
     """Ensemble UQ over a decoded prediction window (physical space).
 
-    Returns the uncertainty field nu (n_t, n_xy), >= 0, and the decoded
-    ensemble (n, n_t, n_xy), the latter feeding CRPS. Uses encoder/decoder
-    only; the transformer is never invoked. Members are decoded in blocks
-    of time steps, so beyond the ensemble itself the memory is one block's.
+    Returns the uncertainty field nu (n_t, n_xy), >= 0, and the ensemble
+    (n, n_t, n_xy) as a LazyEnsemble, which CRPS decodes again block by
+    block. Uses encoder/decoder only; the transformer is never invoked.
+    Members are decoded in blocks of time steps, so beyond the noise the
+    memory is one block's.
     """
     check_ensemble_size(n)
     states = np.asarray(predicted_states, dtype=np.float64)
     n_t, n_xy = states.shape
-    z_dim = ckpt.config.vae.latent_dim
 
-    norm = ckpt.stats.forward(states)
-    dist = ckpt.vae.encode(norm, xi)
-    mu, sigma = dist.mu.data, dist.sigma()
-
-    noise = ensemble_noise(seed, n, n_t, z_dim)
-    ensemble = np.empty((n, n_t, n_xy))
+    dist = ckpt.vae.encode(ckpt.stats.forward(states), xi)
+    noise = ensemble_noise(seed, n, n_t, ckpt.config.vae.latent_dim)
+    ensemble = LazyEnsemble(dist.mu.data, dist.sigma(), noise, ckpt, xi, n_xy)
     nu = np.empty((n_t, n_xy))
-    for s in time_blocks(n_t, n):
-        z = mu[None, s] + sigma[None, s] * noise[:, s]
-        decoded = ckpt.vae.decode(z.reshape(-1, z_dim), xi).data
-        block = ckpt.stats.inverse(decoded).reshape(n, -1, n_xy)
-        ensemble[:, s] = block
+    for s in ensemble.blocks:
+        block = ensemble.block(s)
         mean = block.mean(axis=0)
         nu[s] = np.sqrt(np.mean((block - mean[None]) ** 2, axis=0))
     return nu, ensemble

@@ -390,6 +390,47 @@ def test_train_refuses_trajectories_that_disagree_exit_5(runner, tmp_path, field
     assert not out.exists()
 
 
+KS_DATA_CONFIG = dict(SMALL_CONFIG, datagen={"case": "ks", "n_x": 16, "n_t": 20})
+
+
+@pytest.mark.parametrize("datagen, message", [
+    (SMALL_CONFIG["datagen"], "datagen.case 'hopf' cannot solve at the parameters "
+                              "['ks_nu'] of {data}"),
+    ({"case": "ks", "n_x": 32}, "datagen.n_x 32 differs from 16 in {data}"),
+    ({"case": "ks", "n_x": 16, "dt": 0.1}, "datagen.dt 0.1 differs from 0.05 in {data}"),
+    ({"case": "ks", "n_x": 16, "domain_length": 11.0},
+     "datagen.domain_length 11.0 differs from 22.0 in {data}"),
+], ids=["case", "n_x", "dt", "domain_length"])
+def test_train_config_that_contradicts_the_data_exit_5_before_out(runner, tmp_path,
+                                                                 datagen, message):
+    """A Hopf config, or a KS config of another grid, step or domain, on KS
+    data: train names the config, the field and both values."""
+    ks = tmp_path / "ks.json"
+    ks.write_text(json.dumps(KS_DATA_CONFIG))
+    res = runner.invoke(main, ["generate", "--config", str(ks), "--sweep", "nu=1.0",
+                              "--out", str(tmp_path / "data")])
+    assert res.exit_code == 0, res.output
+    cfg = tmp_path / "other.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONFIG, datagen=datagen)))
+    out = tmp_path / "train"
+    res = runner.invoke(main, ["train", "--config", str(cfg), "--data",
+                              str(tmp_path / "data"), "--out", str(out)])
+    assert res.exit_code == 5, res.output
+    data = tmp_path / "data" / "ks_nu1.updr"
+    assert f"{cfg}: {message.format(data=data)}" in res.output
+    assert not out.exists()
+
+
+def test_train_without_config_compares_the_default_datagen_exit_5(runner, tmp_path):
+    data = run_generate(runner, tmp_path)  # Hopf; the default case is ks
+    out = tmp_path / "train"
+    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(out)])
+    assert res.exit_code == 5, res.output
+    assert ("the default config: datagen.case 'ks' cannot solve at the parameters "
+            f"['mu', 'omega'] of {data / 'hopf_mu0.3.updr'}") in res.output
+    assert not out.exists()
+
+
 def test_adapt_refuses_trajectories_that_disagree_exit_5(runner, tmp_path):
     ckpt = run_train(runner, tmp_path, run_generate(runner, tmp_path))
     bad = write_disagreeing_data(tmp_path / "mixed", DISAGREEMENTS[0][1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from romuq.datagen import NormStats, ParamPoint, Trajectory
-from romuq.metrics import BLOCK_ROWS, crps, write_param_csv
+from romuq.metrics import BLOCK_ROWS, crps, time_blocks, write_param_csv
 from romuq.training import ModelCheckpoint, TrainConfig, train
 from romuq.transformer import LatentTransformer, TransformerConfig
 from romuq.uq import ensemble_noise, member_noise, second_pass, write_uq_csvs
@@ -29,6 +29,12 @@ def make_checkpoint(seed=0, state_dim=8, latent_dim=2, hidden=(12,)):
 
 
 XI = ParamPoint.of(mu=0.4)
+
+
+def materialise(ensemble):
+    """The lazy ensemble as one (n, n_t, n_xy) array, block by block."""
+    n, n_t, _ = ensemble.shape
+    return np.concatenate([ensemble.block(s) for s in time_blocks(n_t, n)], axis=1)
 
 
 # -------------------------------------------------------------- noise streams
@@ -103,7 +109,8 @@ def test_degenerate_encoder_gives_zero_uncertainty():
     ckpt.vae.lv_head[0].data[:] = 0.0
     ckpt.vae.lv_head[1].data[:] = -80.0
     states = np.random.default_rng(2).standard_normal((6, 8))
-    nu, ensemble = second_pass(states, ckpt, XI, n=16, seed=0)
+    nu, lazy = second_pass(states, ckpt, XI, n=16, seed=0)
+    ensemble = materialise(lazy)
     np.testing.assert_allclose(nu, 0.0, atol=1e-12)
     # every member decodes the same latent mean
     assert np.max(np.abs(ensemble - ensemble[0][None])) < 1e-12
@@ -114,6 +121,7 @@ def test_second_pass_matches_direct_monte_carlo_recompute():
     states = np.random.default_rng(4).standard_normal((5, 8))
     n, seed = 12, 9
     nu, ensemble = second_pass(states, ckpt, XI, n=n, seed=seed)
+    assert ensemble.shape == (n, 5, 8)
 
     # independent recompute: same noise streams, member-by-member decode,
     # two-pass population variance
@@ -125,7 +133,7 @@ def test_second_pass_matches_direct_monte_carlo_recompute():
             z = mu[t] + sigma[t] * member_noise(seed, i, t, 2)
             members[i, t] = ckpt.stats.inverse(
                 ckpt.vae.decode(z[None], XI).data[0])
-    np.testing.assert_allclose(ensemble, members, atol=1e-12)
+    np.testing.assert_allclose(materialise(ensemble), members, atol=1e-12)
     mean = members.mean(axis=0)
     var = np.mean((members - mean[None]) ** 2, axis=0)
     np.testing.assert_allclose(nu, np.sqrt(var), atol=1e-12)
@@ -139,7 +147,7 @@ def test_second_pass_deterministic_and_transformer_free():
     f2, e2 = second_pass(states, ckpt, XI, n=8, seed=1)
     assert ckpt.transformer.forward_count == before
     assert f1.tobytes() == f2.tobytes()
-    assert e1.tobytes() == e2.tobytes()
+    assert materialise(e1).tobytes() == materialise(e2).tobytes()
 
 
 def test_second_pass_seed_changes_ensemble():
@@ -188,7 +196,7 @@ def one_shot_second_pass(states, ckpt, n, seed):
 STEPS = BLOCK_ROWS // 8  # time steps in one block of an 8-member ensemble
 
 
-@pytest.mark.parametrize("n,n_t,blocks,wide", [
+LAYOUTS = pytest.mark.parametrize("n,n_t,blocks,wide", [
     (8, 5, 1, False),                 # below one block
     (8, STEPS, 1, False),             # exactly one block
     (8, 2 * STEPS + 37, 3, False),    # several blocks and a remainder
@@ -196,23 +204,57 @@ STEPS = BLOCK_ROWS // 8  # time steps in one block of an 8-member ensemble
     (4 * BLOCK_ROWS + 3, 5, 2, False),  # n above the row budget: two steps a block
     (64, 3 * BLOCK_ROWS // 64 + 5, 4, True),  # ks_cli's model widths
 ])
-def test_second_pass_blocks_are_bit_identical_to_one_decode(monkeypatch, n, n_t,
-                                                            blocks, wide):
+
+
+def layout(n_t, wide):
     ckpt = (make_checkpoint(seed=11, state_dim=64, latent_dim=8, hidden=(128,))
             if wide else make_checkpoint(seed=11))
     states = np.random.default_rng(12).standard_normal((n_t, ckpt.config.vae.state_dim))
+    return ckpt, states
+
+
+@LAYOUTS
+def test_second_pass_blocks_are_bit_identical_to_one_decode(monkeypatch, n, n_t,
+                                                            blocks, wide):
+    ckpt, states = layout(n_t, wide)
     ref_nu, ref = one_shot_second_pass(states, ckpt, n, 4)
     decode, rows = ckpt.vae.decode, []
     monkeypatch.setattr(ckpt.vae, "decode", lambda z, xi: rows.append(len(z)) or decode(z, xi))
     nu, ensemble = second_pass(states, ckpt, XI, n=n, seed=4)
     assert len(rows) == blocks and sum(rows) == n * n_t
-    assert ensemble.tobytes() == ref.tobytes()
     assert nu.tobytes() == ref_nu.tobytes()
+    # the lazy ensemble decodes the same rows again, each time with the same bits
+    assert ensemble.shape == ref.shape
+    first, again = materialise(ensemble), materialise(ensemble)
+    assert first.tobytes() == again.tobytes() == ref.tobytes()
+    assert len(rows) == 3 * blocks and sum(rows) == 3 * n * n_t
 
 
-def test_second_pass_and_crps_hold_the_ensemble_plus_a_bounded_block():
-    # 16 members x 1,024 steps: one decode of all 16,384 rows makes 8 MB
-    # hidden temporaries, 32x those of a 512-row block
+@LAYOUTS
+def test_crps_of_the_lazy_ensemble_is_that_of_its_array(n, n_t, blocks, wide):
+    ckpt, states = layout(n_t, wide)
+    _, ensemble = second_pass(states, ckpt, XI, n=n, seed=4)
+    truth = np.random.default_rng(13).standard_normal(states.shape)
+    for form in ("printed", "abs"):
+        assert (crps(ensemble, truth, form=form).hex()
+                == crps(materialise(ensemble), truth, form=form).hex())
+
+
+def test_later_noise_draws_leave_an_earlier_ensemble_unchanged():
+    ckpt, states = layout(2 * STEPS + 37, False)
+    _, ensemble = second_pass(states, ckpt, XI, n=8, seed=4)
+    before = materialise(ensemble).tobytes()
+    ensemble_noise(5, 8, len(states), 2)  # another seed
+    ensemble_noise(4, 8, len(states), 3)  # another dim
+    assert materialise(ensemble).tobytes() == before
+    with pytest.raises(ValueError, match="time blocks"):
+        ensemble.block(slice(0, 1))  # a one-step decode would take other bits
+
+
+def test_second_pass_and_crps_hold_the_noise_plus_a_bounded_block():
+    # 16 members x 1,024 steps: the decoded ensemble is 2 MB, and one decode
+    # of all 16,384 rows makes 8 MB hidden temporaries, 32x those of a
+    # 512-row block; neither is ever held
     n, n_t = 16, 1024
     ckpt = make_checkpoint(seed=13, state_dim=16, hidden=(64,))
     states = np.random.default_rng(14).standard_normal((n_t, 16))
@@ -225,7 +267,7 @@ def test_second_pass_and_crps_hold_the_ensemble_plus_a_bounded_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < ensemble.nbytes + 2 * 2**20, peak
+    assert peak < 2 * 2**20, peak
 
 
 # --------------------------------------------------------------- aggregations
