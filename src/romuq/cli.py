@@ -188,9 +188,9 @@ def cmd_train(config_path, data_dir, seed, out_dir):
     """Train on the even-index split of every trajectory in --data."""
     from .training import train
     config = _load_config(config_path, seed)
-    dataset = _load_dataset(Path(data_dir),
-                            lambda first, path: _check_datagen(config, config_path, first, path))
-    train_set = [split_even_odd(t)[0] for t in dataset]
+    # only the splits outlive this line: the full-resolution data is freed before train
+    train_set = [split_even_odd(t)[0] for t in _load_dataset(
+        Path(data_dir), lambda first, path: _check_datagen(config, config_path, first, path))]
     tc = config.train_config(train_set[0].n_xy, len(train_set[0].param.names()))
     ckpt = train(train_set, tc, config.seed, dataset_id=str(data_dir))
     out = Path(out_dir)
@@ -281,9 +281,10 @@ def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir)
     grid = _grid(config, initial[0].param.names())
 
     def generator(point: ParamPoint) -> Trajectory:
+        """The even-index split of the solve at ``point``: the trained dt."""
         traj = _generate_one(config, point.as_dict())
         _check_agrees(traj, f"grid point {point.as_dict()}", initial[0], data_dir)
-        return traj
+        return split_even_odd(traj)[0]
 
     out = Path(out_dir)
     run_loop(ckpt, generator, grid, config.adaptive.budget,

@@ -89,6 +89,9 @@ class DatagenSection:
                               f"{list(SOLVER_PARAMS)}")
         if not (0 < self.dt < math.inf and 0 < self.domain_length < math.inf):
             raise ConfigError("dt and domain_length must be finite and positive")
+        for key, value in (("n_x", self.n_x), ("n_t", self.n_t)):
+            if value < 2:
+                raise ConfigError(f"datagen.{key} must be >= 2, got {value}")
 
 
 @dataclass
@@ -146,6 +149,8 @@ class Schedule:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
 
 
 @dataclass

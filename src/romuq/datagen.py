@@ -127,8 +127,10 @@ def solve_ks(nu: float, n_x: int = 64, domain_length: float = 22.0,
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-    if n_x & (n_x - 1) != 0:
-        raise ValueError("n_x must be a power of two")
+    if n_x < 2 or n_x & (n_x - 1) != 0:
+        raise ValueError(f"n_x must be a power of two >= 2, got {n_x}")
+    if n_t < 2:
+        raise ValueError(f"n_t must be >= 2, got {n_t}")
     x = domain_length * np.arange(n_x) / n_x
     if init is None:
         rng = np.random.default_rng(seed)
@@ -176,6 +178,8 @@ def solve_ks(nu: float, n_x: int = 64, domain_length: float = 22.0,
 def stuart_landau(mu: float, omega: float, dt: float, n_t: int,
                   init_amplitude: float) -> np.ndarray:
     """RK4 integration of dA/dt = (mu + i omega) A - |A|^2 A."""
+    if n_t < 2:
+        raise ValueError(f"n_t must be >= 2, got {n_t}")
     coef_lin = complex(mu, omega)
 
     def f(a):
@@ -358,12 +362,11 @@ def read_trajectory(path) -> Trajectory:
     crc, = CRC.unpack(take(CRC.size))
     if offset != len(raw):
         raise ValueError(f"trailing bytes after the checksum in {path}")
-    if not np.all(np.isfinite(payload)):  # checked before a cast that would warn
-        raise ValueError(f"non-finite states in {path}")
     try:
-        traj = Trajectory(states=payload.reshape(n_t, n_xy).astype(np.float64), dt=dt,
-                          length=length, param=ParamPoint.of(**params))
-    except ValueError as exc:  # too few steps, a bad dt or length, a non-finite parameter
+        with np.errstate(invalid="ignore"):  # a signalling NaN warns; Trajectory refuses it
+            states = payload.reshape(n_t, n_xy).astype(np.float64)
+        traj = Trajectory(states=states, dt=dt, length=length, param=ParamPoint.of(**params))
+    except ValueError as exc:  # too few steps, a non-finite value, a bad dt or length
         raise ValueError(f"{exc} in {path}") from None
     if zlib.crc32(raw[:-CRC.size]) != crc:
         raise ValueError(f"checksum mismatch in {path}")

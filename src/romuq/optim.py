@@ -14,22 +14,23 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 class Adam:
     """Adam over a fixed parameter list: flat first/second moments over all
-    parameters, in order, work buffers of the same length and the shared
-    timestep counter ``t``."""
+    parameters, in order, the gathered gradient and one work buffer of the
+    same length, and the shared timestep counter ``t``."""
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
         self.offsets = list(itertools.accumulate((p.data.size for p in self.params), initial=0))
-        self.m, self.v, self.g, self.a, self.b = (np.zeros(self.offsets[-1]) for _ in range(5))
+        self.m, self.v, self.g, self.a = (np.zeros(self.offsets[-1]) for _ in range(4))
         self.t = 0
 
     def step(self):
         """One in-place update over the gradients gathered into one flat vector.
         A missing gradient raises ValueError, and a misshapen or resized one
-        ShapeError, before anything moves."""
+        ShapeError, before anything moves. Once the second moment is updated
+        the gradient is dead, so ``g`` then holds the denominator."""
         spans = list(zip(self.params, self.offsets, self.offsets[1:]))
-        g, m, v, a, b = self.g, self.m, self.v, self.a, self.b
+        g, m, v, a = self.g, self.m, self.v, self.a
         for i, (p, lo, hi) in enumerate(spans):
             gi = p.grad
             if gi is None:
@@ -42,12 +43,12 @@ class Adam:
         m *= BETA1
         m += np.multiply(1.0 - BETA1, g, out=a)
         v *= BETA2
-        v += np.multiply(np.multiply(1.0 - BETA2, g, out=b), g, out=b)
+        v += np.multiply(np.multiply(1.0 - BETA2, g, out=a), g, out=a)
         np.divide(m, 1.0 - BETA1 ** self.t, out=a)
-        np.sqrt(np.divide(v, 1.0 - BETA2 ** self.t, out=b), out=b)
-        b += EPS
+        np.sqrt(np.divide(v, 1.0 - BETA2 ** self.t, out=g), out=g)
+        g += EPS
         a *= self.lr
-        a /= b
+        a /= g
         for p, lo, hi in spans:
             p.data -= a[lo:hi].reshape(p.data.shape)
 

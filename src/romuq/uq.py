@@ -98,10 +98,11 @@ def second_pass(predicted_states: np.ndarray, ckpt: ModelCheckpoint,
 
 
 def write_uq_csvs(directory, nu: np.ndarray):
-    """Emit uq_field.csv (t, d, nu) and nu_t.csv (its spatial mean) for plotting."""
+    """Emit uq_field.csv (t, d, nu) and nu_t.csv (its spatial mean) for
+    plotting; only one time step of nu is turned into Python floats at a time."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_csv(directory / "uq_field.csv", ("t", "d", "nu"),
-              ((t, d, v) for t, row in enumerate(nu.tolist()) for d, v in enumerate(row)))
+              ((t, d, v) for t, row in enumerate(nu) for d, v in enumerate(row.tolist())))
     write_csv(directory / "nu_t.csv", ("t", "nu_t"), enumerate(nu.mean(axis=1)))
 

@@ -15,8 +15,9 @@ from click.testing import CliRunner
 import romuq
 from romuq.adaptive import evaluate_grid
 from romuq.cli import main
+from romuq.config import ConfigError, DatagenSection, TrainingSection
 from romuq.datagen import (ParamPoint, read_trajectory, solve_hopf_surrogate,
-                           write_trajectory)
+                           split_even_odd, write_trajectory)
 from romuq.training import ModelCheckpoint, predict_rollout
 from romuq.uq import second_pass
 
@@ -193,6 +194,39 @@ def test_non_finite_config_value_exit_3_naming_the_file_and_key(runner, tmp_path
                               "--out", str(out)])
     assert res.exit_code == 3, res.output
     assert f"invalid config: {cfg}: [{section}] {key} must be finite" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, sweep", [("hopf", "mu=0.3"), ("ks", "nu=1.0")])
+@pytest.mark.parametrize("key, value", [("n_x", 0), ("n_x", 1), ("n_t", 0), ("n_t", 1),
+                                        ("n_t", -3)])
+def test_grid_below_two_points_exit_3_naming_the_key(runner, tmp_path, case, sweep,
+                                                     key, value):
+    # refused by the config, before a solver could crash on it or --out is made
+    with pytest.raises(ConfigError, match=f"datagen.{key} must be >= 2, got {value}"):
+        DatagenSection(case=case, **{key: value})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"datagen": {"case": case, key: value}}))
+    out = tmp_path / "data"
+    res = runner.invoke(main, ["generate", "--config", str(cfg), "--sweep", sweep,
+                              "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert f"invalid config: {cfg}: datagen.{key} must be >= 2, got {value}" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lr", [0, 0.0, -0.5])
+def test_non_positive_lr_exit_3_before_the_data_is_read(runner, tmp_path, lr):
+    # lr 0 would save an untrained checkpoint, a negative one diverge
+    with pytest.raises(ConfigError, match=f"lr must be > 0, got {lr}"):
+        TrainingSection(lr=lr)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"training": {"lr": lr}}))
+    out = tmp_path / "train"
+    res = runner.invoke(main, ["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                              "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert f"invalid config: {cfg}: lr must be > 0, got {lr}" in res.output
     assert not out.exists()
 
 
@@ -772,12 +806,40 @@ def test_adapt_solves_at_every_grid_value(runner, tmp_path):
     assert res.exit_code == 0, res.output
     hist = json.loads((tmp_path / "adapt/adaptive_history.json").read_text())
     assert hist["trained_set"][-1] == {"mu": 0.2, "omega": 2.0}
-    # the first sweep's error at the point is the one against omega 2.0
+    # the first sweep's error at the point is the one against omega 2.0, at
+    # the trained dt
     point = ParamPoint.of(mu=0.2, omega=2.0)
-    truth = solve_hopf_surrogate(0.2, omega=2.0, n_x=16, dt=0.1, n_t=40)
+    truth, _ = split_even_odd(solve_hopf_surrogate(0.2, omega=2.0, n_x=16, dt=0.1, n_t=40))
     _, (mse,), _ = evaluate_grid(ModelCheckpoint.load(ckpt), {point: truth}, [point], 2, 0)
     rows = (tmp_path / "adapt/iter0_mse.csv").read_text().split("\n")
     assert rows[1] == f"0.2,2.0,{mse!r}"
+
+
+def test_adapt_runs_the_loop_at_the_trained_dt(runner, tmp_path, monkeypatch):
+    # every truth the loop scores and retrains on, and every replayed
+    # trajectory, is at the checkpoint's dt, twice the files' dt
+    data = run_generate(runner, tmp_path)
+    ckpt = run_train(runner, tmp_path, data)
+    trained_dt = ModelCheckpoint.load(ckpt).data["dt"]
+    assert trained_dt == 2 * read_trajectory(data / "hopf_mu0.3.updr").dt
+    run_loop, dts = romuq.adaptive.run_loop, []
+
+    def recording_loop(ckpt, generator, grid, budget, threshold, initial_data, **kwargs):
+        def recording_generator(point):
+            truth = generator(point)
+            dts.append(truth.dt)
+            return truth
+
+        dts.extend(t.dt for t in initial_data)
+        return run_loop(ckpt, recording_generator, grid, budget, threshold,
+                        initial_data=initial_data, **kwargs)
+
+    monkeypatch.setattr(romuq.adaptive, "run_loop", recording_loop)
+    res = runner.invoke(main, ["adapt", "--config", str(tmp_path / "config.json"),
+                              "--checkpoint", str(ckpt), "--data", str(data),
+                              "--out", str(tmp_path / "adapt")])
+    assert res.exit_code == 0, res.output
+    assert dts == [trained_dt] * (2 + len(SMALL_CONFIG["adaptive"]["grid"]))
 
 
 def test_every_json_file_has_one_layout(runner, tmp_path):

@@ -65,6 +65,19 @@ def test_ks_requires_power_of_two_grid():
         solve_ks(1.0, n_x=48)
 
 
+@pytest.mark.parametrize("size, match", [
+    (dict(n_x=0), "n_x must be a power of two >= 2, got 0"),
+    (dict(n_x=1), "n_x must be a power of two >= 2, got 1"),
+    (dict(n_t=0), "n_t must be >= 2, got 0"),
+    (dict(n_t=1), "n_t must be >= 2, got 1"),
+    (dict(n_t=-3), "n_t must be >= 2, got -3"),
+])
+def test_ks_refuses_grids_below_two_points(size, match):
+    # 0 and 1 pass the power-of-two test; none may reach the integrator
+    with pytest.raises(ValueError, match=match):
+        solve_ks(1.0, **{"n_x": 16, "n_t": 10, **size})
+
+
 def test_ks_blow_up_reports_step():
     x = 22.0 * np.arange(32) / 32
     with pytest.raises(SolverError) as err:
@@ -110,6 +123,14 @@ def test_hopf_limit_cycle_energy_plateau():
 def test_hopf_rejects_nonpositive_init():
     with pytest.raises(ValueError):
         solve_hopf_surrogate(0.5, init_amplitude=0.0)
+
+
+@pytest.mark.parametrize("n_t", [1, 0, -3])
+def test_hopf_refuses_fewer_than_two_steps(n_t):
+    with pytest.raises(ValueError, match=f"n_t must be >= 2, got {n_t}"):
+        stuart_landau(0.5, 1.0, 0.05, n_t, 0.1)
+    with pytest.raises(ValueError, match=f"n_t must be >= 2, got {n_t}"):
+        solve_hopf_surrogate(0.5, n_x=8, n_t=n_t)
 
 
 # ----------------------------------------------------------------- splitting

@@ -270,6 +270,21 @@ def test_second_pass_and_crps_hold_the_noise_plus_a_bounded_block():
     assert peak < 2 * 2**20, peak
 
 
+def test_uq_field_csv_holds_one_time_step_of_floats(tmp_path):
+    # a (990, 64) field as 63,360 Python floats in nested lists is about
+    # 2 MB; formatted one step at a time it stays under an eighth of that
+    nu = np.random.default_rng(15).random((990, 64))
+    tracemalloc.start()
+    try:
+        write_uq_csvs(tmp_path, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18, peak
+    rows = (tmp_path / "uq_field.csv").read_text().splitlines()
+    assert len(rows) == 1 + nu.size and rows[-1] == f"989,63,{float(nu[-1, -1])!r}"
+
+
 # --------------------------------------------------------------- aggregations
 
 

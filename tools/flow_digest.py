@@ -75,9 +75,11 @@ def romuq(work: Path, args: list) -> subprocess.CompletedProcess:
 
 
 def make_error_inputs(work: Path):
-    """Broken copies of the Hopf flow's outputs, under errors/."""
+    """Broken copies of the Hopf flow's outputs and impossible configs, under errors/."""
     err = work / "errors"
     err.mkdir()
+    (err / "n_t0.json").write_text(json.dumps({"datagen": {"case": "hopf", "n_t": 0}}))
+    (err / "lr0.json").write_text(json.dumps({"training": {"lr": 0}}))
     raw = (work / "hopf/data/hopf_mu0.4.updr").read_bytes()
     (err / "truncated.updr").write_bytes(raw[:-100])
     for name in ("v1", "flipped"):
@@ -106,6 +108,12 @@ ERROR_CASES = [
     ("a bit flip in weights.bin",
      ["infer", "--checkpoint", "errors/flipped", "--data", "hopf/data/hopf_mu0.4.updr",
       "--out", "errors/out_flipped"]),
+    ("datagen.n_t 0",
+     ["generate", "--config", "errors/n_t0.json", "--sweep", "mu=0.1",
+      "--out", "errors/out_n_t0"]),
+    ("training.lr 0",
+     ["train", "--config", "errors/lr0.json", "--data", "hopf/data",
+      "--out", "errors/out_lr0"]),
 ]
 
 
