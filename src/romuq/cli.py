@@ -5,13 +5,14 @@ the commands that run a model import the model stack and scipy under it."""
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
 import numpy as np
 
 from .config import ConfigError, RunConfig, write_resolved
-from .datagen import (SOLVER_PARAMS, ParamPoint, SolverError, Trajectory,
+from .datagen import (HOPF_LENGTH, SOLVER_PARAMS, ParamPoint, SolverError, Trajectory,
                       read_trajectory, solve_hopf_surrogate, solve_ks, split_even_odd,
                       write_json, write_trajectory)
 from .errors import NonFiniteError, RolloutDivergence, TrainingDiverged
@@ -70,7 +71,7 @@ def _parse_sweep(sweep: str):
 
 
 def _generate_one(config: RunConfig, params: dict) -> Trajectory:
-    """Solve ``datagen.case`` at ``params``, checked against SOLVER_PARAMS."""
+    """Solve ``datagen.case`` at ``params``."""
     dg = config.datagen
     if dg.case == "ks":
         (nu,) = params.values()
@@ -81,55 +82,40 @@ def _generate_one(config: RunConfig, params: dict) -> Trajectory:
                                 init_amplitude=dg.init_amplitude)
 
 
-def _check_agrees(traj: Trajectory, what, ref: Trajectory, ref_name):
-    """Refuse ``traj`` (called ``what``) unless it agrees with ``ref`` on
-    ``dt``, domain length, grid width and parameter names."""
-    def facts(t: Trajectory):
-        return (("dt", t.dt), ("domain length", t.length), ("grid width", t.n_xy),
-                ("parameter names", t.param.names()))
-
-    for (field, value), (_, want) in zip(facts(traj), facts(ref)):
+def _check_datagen(config: RunConfig, config_path, traj: Trajectory, path):
+    """Refuse ``traj``, read from ``path``, unless a solve at the ``datagen``
+    section of ``config_path`` (or the defaults) writes it: the solver's
+    parameter names, n_x, dt and length (for Hopf the surrogate's own)."""
+    dg, name = config.datagen, config_path or "the default config"
+    if traj.param.names() != SOLVER_PARAMS[dg.case][-1]:
+        raise ValueError(f"{name}: datagen.case {dg.case!r} cannot solve at the "
+                         f"parameters {list(traj.param.names())} of {path}")
+    length = (("datagen.domain_length", dg.domain_length) if dg.case == "ks"
+              else ("datagen.case 'hopf' length", HOPF_LENGTH))
+    for field, value, want in (("datagen.n_x", dg.n_x, traj.n_xy),
+                               ("datagen.dt", dg.dt, traj.dt), (*length, traj.length)):
         if value != want:
-            raise ValueError(f"{what}: {field} {value} differs from {want} in {ref_name}")
+            raise ValueError(f"{name}: {field} {value} differs from {want} in {path}")
 
 
-def _load_dataset(data_dir: Path, check_first):
-    """Every trajectory in ``data_dir``; each must agree with the first, and
-    ``check_first(first, its path)`` may refuse the first."""
+def _load_dataset(data_dir: Path, config: RunConfig, config_path) -> dict:
+    """The even-index split of every trajectory in ``data_dir``, by path;
+    each file must be what a solve at ``config``'s ``datagen`` writes."""
     files = sorted(data_dir.glob("*.updr"))
     if not files:
         raise FileNotFoundError(f"no .updr trajectory files in {data_dir}")
-    dataset = [read_trajectory(f) for f in files]
-    for path, traj in zip(files[1:], dataset[1:]):
-        _check_agrees(traj, path, dataset[0], files[0])
-    check_first(dataset[0], files[0])
+    dataset = {}
+    for path in files:
+        traj = read_trajectory(path)
+        _check_datagen(config, config_path, traj, path)
+        dataset[path] = split_even_odd(traj)[0]
     return dataset
 
 
-def _check_datagen(config: RunConfig, config_path, first: Trajectory, first_path):
-    """Refuse a ``datagen`` section (of ``config_path``, or the defaults)
-    that contradicts ``first``: a case whose solver does not take its
-    parameters, or another n_x, dt or, for KS, domain length."""
-    dg, name = config.datagen, config_path or "the default config"
-    names = first.param.names()
-    if names not in SOLVER_PARAMS[dg.case]:
-        raise ValueError(f"{name}: datagen.case {dg.case!r} cannot solve at the "
-                         f"parameters {list(names)} of {first_path}")
-    facts = [("n_x", dg.n_x, first.n_xy), ("dt", dg.dt, first.dt)]
-    if dg.case == "ks":
-        facts.append(("domain_length", dg.domain_length, first.length))
-    for field, value, want in facts:
-        if value != want:
-            raise ValueError(f"{name}: datagen.{field} {value} differs from {want} "
-                             f"in {first_path}")
-
-
-def _grid(config: RunConfig, names: tuple) -> list:
-    """The adaptive grid, whose every point names exactly ``names``, the
-    parameters of the initial data, which ``datagen.case``'s solver takes."""
-    if names not in SOLVER_PARAMS[config.datagen.case]:
-        raise ConfigError(f"datagen.case {config.datagen.case!r} cannot solve at the "
-                          f"initial data's parameters {list(names)}")
+def _grid(config: RunConfig) -> list:
+    """The adaptive grid, whose every point names exactly the parameters
+    ``datagen.case``'s solver writes."""
+    names = SOLVER_PARAMS[config.datagen.case][-1]
     if len(config.adaptive.grid) < 2:
         raise ConfigError(f"adaptive.grid needs at least two points, "
                           f"got {len(config.adaptive.grid)}")
@@ -139,8 +125,8 @@ def _grid(config: RunConfig, names: tuple) -> list:
         raise ConfigError(f"bad adaptive.grid entry: {exc}") from exc
     for point in grid:
         if point.names() != names:
-            raise ConfigError(f"adaptive.grid point {point.as_dict()} does not name "
-                              f"the initial data's parameters {list(names)}")
+            raise ConfigError(f"adaptive.grid point {point.as_dict()} does not name the "
+                              f"{config.datagen.case} solver's parameters {list(names)}")
     return grid
 
 
@@ -165,16 +151,21 @@ def generate(config_path, case, sweep, seed, out_dir):
         name = "nu"
     if (name,) not in SOLVER_PARAMS[case]:
         raise ValueError(f"the {case} solver sweeps {SOLVER_PARAMS[case][0][0]!r}, got {name!r}")
+    files = {}  # file name -> sweep value
+    for value in values:
+        fname = f"{case}_{name}{value:g}.updr"
+        if not np.isfinite(value):
+            raise ValueError(f"--sweep values must be finite, got {name}={value}")
+        if fname in files:
+            raise ValueError(f"--sweep values {files[fname]!r} and {value!r} both "
+                             f"write {fname}")
+        files[fname] = value
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = []
-    for value in values:
-        traj = _generate_one(config, {name: value})
-        fname = f"{case}_{name}{value:g}.updr"
-        write_trajectory(out / fname, traj)
-        files.append(fname)
-    write_json(out / "manifest.json",
-               {"case": case, "sweep": {name: values}, "files": files, "seed": config.seed})
+    for fname, value in files.items():
+        write_trajectory(out / fname, _generate_one(config, {name: value}))
+    write_json(out / "manifest.json", {"case": case, "sweep": {name: values},
+                                       "files": list(files), "seed": config.seed})
     write_resolved(config, out)
     click.echo(f"wrote {len(files)} trajectories to {out}")
 
@@ -188,9 +179,7 @@ def cmd_train(config_path, data_dir, seed, out_dir):
     """Train on the even-index split of every trajectory in --data."""
     from .training import train
     config = _load_config(config_path, seed)
-    # only the splits outlive this line: the full-resolution data is freed before train
-    train_set = [split_even_odd(t)[0] for t in _load_dataset(
-        Path(data_dir), lambda first, path: _check_datagen(config, config_path, first, path))]
+    train_set = list(_load_dataset(Path(data_dir), config, config_path).values())
     tc = config.train_config(train_set[0].n_xy, len(train_set[0].param.names()))
     ckpt = train(train_set, tc, config.seed, dataset_id=str(data_dir))
     out = Path(out_dir)
@@ -267,29 +256,30 @@ def cmd_uq(ckpt_dir, data_file, ensemble_n, seed, out_dir):
 @click.option("--out", "out_dir", type=click.Path(), default="runs/adapt")
 def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir):
     """Uncertainty-driven adaptive sampling over the configured grid."""
-    if threshold is not None and not np.isfinite(threshold):
-        raise ValueError(f"--threshold must be finite, got {threshold}")
     from .adaptive import run_loop
     from .training import ModelCheckpoint
     config = _load_config(config_path, seed)
-    if budget is not None:
-        config.adaptive.budget = budget
-    if threshold is not None:
-        config.adaptive.threshold = threshold
+    overrides = {"budget": budget, "threshold": threshold}
+    config.adaptive = replace(config.adaptive,
+                              **{k: v for k, v in overrides.items() if v is not None})
     ckpt = ModelCheckpoint.load(ckpt_dir)
-    initial = _load_dataset(Path(data_dir), ckpt.check_fits)
-    grid = _grid(config, initial[0].param.names())
+    # the loop runs at the fitted dt, so the files, and with them every grid
+    # solve at the same datagen, must be at half of it
+    initial = _load_dataset(Path(data_dir), config, config_path)
+    for path, split in initial.items():
+        if split.dt != ckpt.data["dt"]:
+            raise ValueError(f"{path}: dt {split.dt / 2} differs from {ckpt.data['dt'] / 2}, "
+                             f"the dt of the files {ckpt_dir} was trained on")
+        ckpt.check_fits(split, path)
+    grid = _grid(config)
 
     def generator(point: ParamPoint) -> Trajectory:
         """The even-index split of the solve at ``point``: the trained dt."""
-        traj = _generate_one(config, point.as_dict())
-        _check_agrees(traj, f"grid point {point.as_dict()}", initial[0], data_dir)
-        return split_even_odd(traj)[0]
+        return split_even_odd(_generate_one(config, point.as_dict()))[0]
 
     out = Path(out_dir)
     run_loop(ckpt, generator, grid, config.adaptive.budget,
-             config.adaptive.threshold,
-             initial_data=[split_even_odd(t)[0] for t in initial],
+             config.adaptive.threshold, initial_data=list(initial.values()),
              retrain_epochs=config.training.retrain_epochs,
              replay_fraction=config.training.replay_fraction,
              ensemble_n=config.uq.ensemble_n, seed=config.seed, out_dir=out)

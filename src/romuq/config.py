@@ -193,7 +193,9 @@ class AdaptiveSection:
 
     def __post_init__(self):
         if self.budget < 1:
-            raise ConfigError("budget must be >= 1")
+            raise ConfigError(f"adaptive.budget must be >= 1, got {self.budget}")
+        if not math.isfinite(self.threshold):
+            raise ConfigError(f"adaptive.threshold must be finite, got {self.threshold}")
 
 
 @dataclass

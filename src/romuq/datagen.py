@@ -173,6 +173,7 @@ def solve_ks(nu: float, n_x: int = 64, domain_length: float = 22.0,
 
 # ---------------------------------------------------------------------------
 # Hopf-bifurcation surrogate (Stuart-Landau oscillator lifted to a field)
+HOPF_LENGTH = 2 * np.pi  # the surrogate's fixed periodic domain
 
 
 def stuart_landau(mu: float, omega: float, dt: float, n_t: int,
@@ -202,7 +203,7 @@ def stuart_landau(mu: float, omega: float, dt: float, n_t: int,
 
 def hopf_mode_shapes(n_x: int):
     """Fixed spatial lift: first-harmonic sin/cos plus a Gaussian base bump."""
-    x = 2 * np.pi * np.arange(n_x) / n_x
+    x = HOPF_LENGTH * np.arange(n_x) / n_x
     g1 = np.sin(x)
     g2 = np.cos(x)
     s = np.exp(-0.5 * ((x - np.pi) / (np.pi / 4)) ** 2)
@@ -219,12 +220,12 @@ def solve_hopf_surrogate(mu: float, omega: float = 1.0, n_x: int = 64,
     amps = stuart_landau(mu, omega, dt, n_t, init_amplitude)
     g1, g2, s = hopf_mode_shapes(n_x)
     states = np.outer(amps.real, g1) + np.outer(amps.imag, g2) + s[None, :]
-    return Trajectory(states=states, dt=dt, length=2 * np.pi,
+    return Trajectory(states=states, dt=dt, length=HOPF_LENGTH,
                       param=ParamPoint.of(mu=mu, omega=omega))
 
 
-# The sorted parameter names each case's solver takes: KS's ``nu`` is named
-# ``ks_nu`` in a trajectory; Hopf's ``omega`` defaults to ``datagen.omega``.
+# The sorted parameter names each case's solver takes, the last those its
+# trajectories carry (KS's ``nu`` is ``ks_nu``); Hopf's ``omega`` defaults to datagen's.
 SOLVER_PARAMS = {"ks": (("nu",), ("ks_nu",)), "hopf": (("mu",), ("mu", "omega"))}
 
 

@@ -14,8 +14,8 @@ from click.testing import CliRunner
 
 import romuq
 from romuq.adaptive import evaluate_grid
-from romuq.cli import main
-from romuq.config import ConfigError, DatagenSection, TrainingSection
+from romuq.cli import _check_datagen, _generate_one, main
+from romuq.config import ConfigError, DatagenSection, RunConfig, TrainingSection
 from romuq.datagen import (ParamPoint, read_trajectory, solve_hopf_surrogate,
                            split_even_odd, write_trajectory)
 from romuq.training import ModelCheckpoint, predict_rollout
@@ -151,6 +151,30 @@ def test_generate_rejects_wrong_sweep_name(runner, tmp_path):
     assert res.exit_code == 5
     assert "the hopf solver sweeps 'mu', got 'nu'" in res.output
     assert not (tmp_path / "x").exists()  # refused before --out is created
+
+
+@pytest.mark.parametrize("case, sweep, bad", [("hopf", "mu=0.3,nan", "mu=nan"),
+                                              ("hopf", "mu=inf", "mu=inf"),
+                                              ("ks", "nu=1,nan", "nu=nan")])
+def test_generate_non_finite_sweep_value_exit_5_before_out(runner, tmp_path, case,
+                                                           sweep, bad):
+    out = tmp_path / "x"
+    res = runner.invoke(main, ["generate", "--case", case, "--sweep", sweep,
+                              "--out", str(out)])
+    assert res.exit_code == 5, res.output
+    assert f"--sweep values must be finite, got {bad}" in res.output
+    assert not out.exists()
+
+
+def test_generate_sweep_values_that_write_one_file_exit_5_before_out(runner, tmp_path):
+    # both values print as 0.123457, the name of the file each would write
+    out = tmp_path / "x"
+    res = runner.invoke(main, ["generate", "--case", "hopf", "--sweep",
+                              "mu=0.3,0.1234567,0.1234568", "--out", str(out)])
+    assert res.exit_code == 5, res.output
+    assert ("--sweep values 0.1234567 and 0.1234568 both write hopf_mu0.123457.updr"
+            in res.output)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -409,6 +433,14 @@ DISAGREEMENTS = [
     ("grid width", lambda t: {"states": t.states[:, :8]}),
     ("parameter names", lambda t: {"param": ParamPoint.of(mu=0.5)}),
 ]
+# what the check against SMALL_CONFIG's datagen says of the changed file;
+# the Hopf surrogate's length is its own, not datagen.domain_length
+DISAGREEMENT_MESSAGES = {
+    "dt": "datagen.dt 0.1 differs from 0.2 in {bad}",
+    "domain length": f"datagen.case 'hopf' length {2 * np.pi} differs from 11.0 in {{bad}}",
+    "grid width": "datagen.n_x 16 differs from 8 in {bad}",
+    "parameter names": "datagen.case 'hopf' cannot solve at the parameters ['mu'] of {bad}",
+}
 
 
 @pytest.mark.parametrize("field, change", DISAGREEMENTS)
@@ -420,7 +452,7 @@ def test_train_refuses_trajectories_that_disagree_exit_5(runner, tmp_path, field
     res = runner.invoke(main, ["train", "--config", str(cfg), "--data",
                               str(tmp_path / "data"), "--out", str(out)])
     assert res.exit_code == 5, res.output
-    assert f"{bad}: {field} " in res.output
+    assert f"{cfg}: {DISAGREEMENT_MESSAGES[field].format(bad=bad)}" in res.output
     assert not out.exists()
 
 
@@ -473,71 +505,131 @@ def test_adapt_refuses_trajectories_that_disagree_exit_5(runner, tmp_path):
                               "--checkpoint", str(ckpt), "--data", str(tmp_path / "mixed"),
                               "--out", str(out)])
     assert res.exit_code == 5, res.output
-    assert f"{bad}: dt 0.2 differs from 0.1" in res.output
+    cfg = tmp_path / "config.json"
+    assert f"{cfg}: {DISAGREEMENT_MESSAGES['dt'].format(bad=bad)}" in res.output
     assert not out.exists()
 
 
 @pytest.mark.parametrize("datagen, message", [
-    ({"dt": 0.2}, "dt 0.2 differs from 0.1"),
-    ({"n_x": 32}, "grid width 32 differs from 16"),
+    ({"dt": 0.2}, "datagen.dt 0.2 differs from 0.1"),
+    ({"n_x": 32}, "datagen.n_x 32 differs from 16"),
 ], ids=["dt", "n_x"])
 def test_adapt_refuses_grid_solves_that_disagree_with_the_data_exit_5(runner, tmp_path,
                                                                       datagen, message):
+    """The grid is solved at the config's datagen, so a datagen that
+    contradicts the initial files is refused before --out is created."""
     ckpt = run_train(runner, tmp_path, run_generate(runner, tmp_path))
     cfg = tmp_path / "changed.json"
     cfg.write_text(json.dumps(dict(SMALL_CONFIG,
                                    datagen={**SMALL_CONFIG["datagen"], **datagen})))
+    out = tmp_path / "adapt"
     res = runner.invoke(main, ["adapt", "--config", str(cfg), "--checkpoint", str(ckpt),
-                              "--data", str(tmp_path / "data"),
-                              "--out", str(tmp_path / "adapt")])
+                              "--data", str(tmp_path / "data"), "--out", str(out)])
     assert res.exit_code == 5, res.output
-    assert f"grid point {{'mu': 0.2, 'omega': 1.0}}: {message} in {tmp_path / 'data'}" \
-        in res.output
-    assert not (tmp_path / "adapt" / "checkpoint").exists()
+    assert f"{cfg}: {message} in {tmp_path / 'data' / 'hopf_mu0.3.updr'}" in res.output
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("change, message", [
-    (lambda t: {"states": np.tile(t.states, 2)}, "grid width 32 differs from the checkpoint's 16"),
-    (lambda t: {"length": 2 * t.length},
-     "domain length {} differs from the checkpoint's {}"),
-    (lambda t: {"param": ParamPoint.of(nu=0.3)},
-     "parameter names ['nu'] differs from the checkpoint's ['mu', 'omega']"),
-    (lambda t: {"dt": 0.15}, "dt 0.15 does not divide the checkpoint's dt 0.2 a whole number"),
+@pytest.mark.parametrize("datagen", [
+    {"case": "ks", "n_x": 16, "dt": 0.05, "domain_length": 22.0},
+    {"case": "ks", "n_x": 32, "dt": 0.1, "domain_length": 11.0},
+    {"case": "hopf", "n_x": 16, "dt": 0.1},
+    {"case": "hopf", "n_x": 32, "dt": 0.3, "domain_length": 5.0},
+], ids=["ks-16", "ks-32", "hopf-16", "hopf-32"])
+def test_a_solve_passes_the_data_check_of_the_config_that_made_it(datagen):
+    # so adapt's grid solves need no check of their own: they are made at
+    # the datagen the initial files were checked against
+    config = RunConfig(datagen=DatagenSection(n_t=8, **datagen))
+    grid = ([{"ks_nu": 0.9}, {"nu": 1.2}] if datagen["case"] == "ks"
+            else [{"mu": 0.2, "omega": 2.0}, {"mu": -0.1}])
+    for params in grid:
+        _check_datagen(config, "cfg.json", _generate_one(config, params), "solve.updr")
+
+
+def test_adapt_on_files_at_the_fitted_dt_exit_5_before_out(runner, tmp_path):
+    """The checkpoint was fitted on the even-index split of dt-0.1 files, so
+    at dt 0.2; files and a config at dt 0.2 would run the loop at dt 0.4."""
+    ckpt = run_train(runner, tmp_path, run_generate(runner, tmp_path))
+    cfg = tmp_path / "dt02.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONFIG,
+                                   datagen={**SMALL_CONFIG["datagen"], "dt": 0.2})))
+    res = runner.invoke(main, ["generate", "--config", str(cfg), "--sweep", "mu=0.3,0.5",
+                              "--out", str(tmp_path / "dt02")])
+    assert res.exit_code == 0, res.output
+    out = tmp_path / "adapt"
+    res = runner.invoke(main, ["adapt", "--config", str(cfg), "--checkpoint", str(ckpt),
+                              "--data", str(tmp_path / "dt02"), "--out", str(out)])
+    assert res.exit_code == 5, res.output
+    assert (f"{tmp_path / 'dt02' / 'hopf_mu0.3.updr'}: dt 0.2 differs from 0.1, the dt "
+            f"of the files {ckpt} was trained on") in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change, message, adapt_message", [
+    (lambda t: {"states": np.tile(t.states, 2)},
+     "grid width 32 differs from the checkpoint's 16", None),
+    (lambda t: {"length": 2 * t.length, "param": ParamPoint.of(ks_nu=0.3)},
+     "domain length {} differs from the checkpoint's {}", None),
+    (lambda t: {"param": ParamPoint.of(ks_nu=0.3)},
+     "parameter names ['ks_nu'] differs from the checkpoint's ['mu', 'omega']", None),
+    (lambda t: {"dt": 0.15}, "dt 0.15 does not divide the checkpoint's dt 0.2 a whole number",
+     "dt 0.15 differs from 0.1, the dt of the files {ckpt} was trained on"),
 ], ids=["grid_width", "length", "names", "dt"])
 def test_data_the_checkpoint_was_not_fitted_on_exit_5_before_out(runner, tmp_path,
-                                                                 change, message):
+                                                                 change, message,
+                                                                 adapt_message):
     """The checkpoint was fitted on the even-index split of 16-wide Hopf
     files at dt 0.1, so at dt 0.2; infer, uq and adapt refuse a file of
-    another grid width, length or parameter names, or a dt that does not
-    divide 0.2 a whole number of times, naming the file, the field and both
-    values."""
+    another grid width, length or parameter names, naming the file, the
+    field and both values. infer and uq refuse a dt that does not divide 0.2
+    a whole number of times, and adapt any dt but 0.1. adapt runs with a
+    config whose datagen solves the bad file, so that it reaches these
+    checks."""
     data = run_generate(runner, tmp_path)
     ckpt = run_train(runner, tmp_path, data)
     good = read_trajectory(data / "hopf_mu0.3.updr")
     (tmp_path / "bad").mkdir()
     bad = tmp_path / "bad" / "b.updr"
-    write_trajectory(bad, dataclasses.replace(good, **change(good)))
+    changed = dataclasses.replace(good, **change(good))
+    write_trajectory(bad, changed)
+    names = changed.param.names()
+    cfg = tmp_path / "solves_bad.json"
+    cfg.write_text(json.dumps(dict(
+        SMALL_CONFIG,
+        datagen={"case": "ks" if names == ("ks_nu",) else "hopf", "n_x": changed.n_xy,
+                 "dt": changed.dt, "domain_length": changed.length, "n_t": 40},
+        adaptive={"budget": 1, "grid": [dict.fromkeys(names, v) for v in (0.2, 0.3)]})))
     message = message.format(2 * good.length, good.length)
     out = tmp_path / "out"
-    for args in (["infer", "--checkpoint", str(ckpt), "--data", str(bad)],
-                 ["uq", "--checkpoint", str(ckpt), "--data", str(bad), "--n", "2"],
-                 ["adapt", "--config", str(tmp_path / "config.json"), "--checkpoint",
-                  str(ckpt), "--data", str(bad.parent)]):
+    for args, want in (
+            (["infer", "--checkpoint", str(ckpt), "--data", str(bad)], message),
+            (["uq", "--checkpoint", str(ckpt), "--data", str(bad), "--n", "2"], message),
+            (["adapt", "--config", str(cfg), "--checkpoint", str(ckpt), "--data",
+              str(bad.parent)], (adapt_message or message).format(ckpt=ckpt))):
         res = runner.invoke(main, [*args, "--out", str(out)])
         assert res.exit_code == 5, res.output
-        assert f"{bad}: {message}" in res.output
+        assert f"{bad}: {want}" in res.output
         assert not out.exists()
 
 
-@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
-def test_adapt_non_finite_threshold_exit_5_before_anything_is_read(runner, tmp_path,
-                                                                   threshold):
+@pytest.mark.parametrize("option, value, message", [
+    ("--threshold", "nan", "adaptive.threshold must be finite, got nan"),
+    ("--threshold", "inf", "adaptive.threshold must be finite, got inf"),
+    ("--threshold", "-inf", "adaptive.threshold must be finite, got -inf"),
+    ("--budget", "0", "adaptive.budget must be >= 1, got 0"),
+    ("--budget", "-2", "adaptive.budget must be >= 1, got -2"),
+], ids=["threshold-nan", "threshold-inf", "threshold--inf", "budget-0", "budget--2"])
+def test_adapt_bad_budget_or_threshold_exit_3_before_anything_is_read(runner, tmp_path,
+                                                                      option, value,
+                                                                      message):
+    # neither the checkpoint nor the data exists: the override is refused
+    # by the config's own check before either is read, as in a config file
     out = tmp_path / "adapt"
     res = runner.invoke(main, ["adapt", "--checkpoint", str(tmp_path / "ckpt"),
                               "--data", str(tmp_path / "data"),
-                              "--threshold", threshold, "--out", str(out)])
-    assert res.exit_code == 5, res.output
-    assert "--threshold must be finite" in res.output
+                              option, value, "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert f"invalid config: {message}" in res.output
     assert not out.exists()
 
 
@@ -777,8 +869,9 @@ def test_adapt_grid_names_must_match_the_data_exit_3(runner, tmp_path):
     assert not out.exists()
 
 
-def test_adapt_case_must_solve_the_data_exit_3(runner, tmp_path):
-    # Hopf data with datagen.case left at its default, ks
+def test_adapt_case_must_solve_the_data_exit_5(runner, tmp_path):
+    # Hopf data with datagen.case left at its default, ks: refused as train
+    # refuses it
     data = run_generate(runner, tmp_path)
     ckpt = run_train(runner, tmp_path, data)
     cfg = tmp_path / "ks_case.json"
@@ -786,8 +879,9 @@ def test_adapt_case_must_solve_the_data_exit_3(runner, tmp_path):
     out = tmp_path / "adapt"
     res = runner.invoke(main, ["adapt", "--config", str(cfg), "--checkpoint",
                               str(ckpt), "--data", str(data), "--out", str(out)])
-    assert res.exit_code == 3, res.output
-    assert "datagen.case" in res.output and "'ks'" in res.output
+    assert res.exit_code == 5, res.output
+    assert (f"{cfg}: datagen.case 'ks' cannot solve at the parameters ['mu', 'omega'] "
+            f"of {data / 'hopf_mu0.3.updr'}") in res.output
     assert not out.exists()
 
 

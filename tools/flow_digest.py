@@ -18,7 +18,7 @@ each error case's exit code, its stderr and whether it created its
     diff before.txt after.txt
 
 It exits 1 when a flow command fails or an error case exits 0. The whole
-run takes about 6 s (2-core x86 machine, one BLAS thread).
+run takes about 11 s (2-core x86 machine, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -75,11 +75,19 @@ def romuq(work: Path, args: list) -> subprocess.CompletedProcess:
 
 
 def make_error_inputs(work: Path):
-    """Broken copies of the Hopf flow's outputs and impossible configs, under errors/."""
+    """Broken copies of the Hopf flow's outputs, impossible configs and Hopf
+    files at the checkpoint's fitted dt (twice the flow's), under errors/."""
     err = work / "errors"
     err.mkdir()
     (err / "n_t0.json").write_text(json.dumps({"datagen": {"case": "hopf", "n_t": 0}}))
     (err / "lr0.json").write_text(json.dumps({"training": {"lr": 0}}))
+    hopf = FLOWS["hopf"]["config"]
+    (err / "dt02.json").write_text(json.dumps(
+        dict(hopf, datagen=dict(hopf["datagen"], dt=2 * hopf["datagen"]["dt"]))))
+    proc = romuq(work, ["generate", "--config", "errors/dt02.json",
+                        "--sweep", FLOWS["hopf"]["sweep"], "--out", "errors/dt02"])
+    if proc.returncode != 0:
+        raise RuntimeError(f"generating errors/dt02 exited {proc.returncode}:\n{proc.stderr}")
     raw = (work / "hopf/data/hopf_mu0.4.updr").read_bytes()
     (err / "truncated.updr").write_bytes(raw[:-100])
     for name in ("v1", "flipped"):
@@ -114,6 +122,17 @@ ERROR_CASES = [
     ("training.lr 0",
      ["train", "--config", "errors/lr0.json", "--data", "hopf/data",
       "--out", "errors/out_lr0"]),
+    ("adapt on files at the checkpoint's fitted dt",
+     ["adapt", "--config", "errors/dt02.json", "--checkpoint", "hopf/train/checkpoint",
+      "--data", "errors/dt02", "--out", "errors/out_dt02"]),
+    ("a non-finite sweep value",
+     ["generate", "--case", "hopf", "--sweep", "mu=nan", "--out", "errors/out_nan"]),
+    ("two sweep values that write one file",
+     ["generate", "--case", "hopf", "--sweep", "mu=0.1234567,0.1234568",
+      "--out", "errors/out_collide"]),
+    ("adapt --budget 0",
+     ["adapt", "--config", "hopf/config.json", "--checkpoint", "hopf/train/checkpoint",
+      "--data", "hopf/data", "--budget", "0", "--out", "errors/out_budget0"]),
 ]
 
 
