@@ -34,9 +34,6 @@ class AdaptiveState:
             "history": self.history,
         }
 
-    def save(self, path):
-        write_json(path, self.to_dict())
-
 
 def select_next(candidates: Sequence) -> ParamPoint:
     """Argmax of nu over the untrained grid points ``candidates``, a
@@ -132,5 +129,5 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
         state.trained_set.append(chosen)
 
     if out_path is not None:
-        state.save(out_path / "adaptive_history.json")
+        write_json(out_path / "adaptive_history.json", state.to_dict())
     return state, ckpt

@@ -99,15 +99,20 @@ def _check_datagen(config: RunConfig, config_path, traj: Trajectory, path):
 
 
 def _load_dataset(data_dir: Path, config: RunConfig, config_path) -> dict:
-    """The even-index split of every trajectory in ``data_dir``, by path;
-    each file must be what a solve at ``config``'s ``datagen`` writes."""
+    """The even-index split of every trajectory in ``data_dir``, by path; each file
+    must be what a solve at ``config``'s ``datagen`` writes, and hold a training window."""
     files = sorted(data_dir.glob("*.updr"))
     if not files:
         raise FileNotFoundError(f"no .updr trajectory files in {data_dir}")
+    q, h = config.transformer.lookback, config.transformer.horizon
+    need = max(4, 2 * (q + h) - 1)  # both halves of a split hold two snapshots
     dataset = {}
     for path in files:
         traj = read_trajectory(path)
         _check_datagen(config, config_path, traj, path)
+        if traj.n_t < need:
+            raise ValueError(f"{path}: n_t {traj.n_t} is too short for lookback {q} + "
+                             f"horizon {h}: training needs n_t >= {need}")
         dataset[path] = split_even_odd(traj)[0]
     return dataset
 
@@ -145,7 +150,8 @@ def main():
 def generate(config_path, case, sweep, seed, out_dir):
     """Generate one trajectory file per sweep value."""
     config = _load_config(config_path, seed)
-    case = config.datagen.case = case or config.datagen.case
+    config.datagen = replace(config.datagen, case=case or config.datagen.case)
+    case = config.datagen.case
     name, values = _parse_sweep(sweep)
     if (case, name) == ("ks", "ks_nu"):  # both spellings write ks_nu<value>.updr
         name = "nu"
@@ -156,6 +162,8 @@ def generate(config_path, case, sweep, seed, out_dir):
         fname = f"{case}_{name}{value:g}.updr"
         if not np.isfinite(value):
             raise ValueError(f"--sweep values must be finite, got {name}={value}")
+        if case == "ks" and value <= 0:
+            raise ValueError(f"--sweep values must be positive, got {name}={value}")
         if fname in files:
             raise ValueError(f"--sweep values {files[fname]!r} and {value!r} both "
                              f"write {fname}")
@@ -263,9 +271,10 @@ def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir)
     config.adaptive = replace(config.adaptive,
                               **{k: v for k, v in overrides.items() if v is not None})
     ckpt = ModelCheckpoint.load(ckpt_dir)
-    # the loop runs at the fitted dt, so the files, and with them every grid
-    # solve at the same datagen, must be at half of it
-    initial = _load_dataset(Path(data_dir), config, config_path)
+    # the loop runs at the fitted dt and windows, so the files, and with them
+    # every grid solve at the same datagen, must be at half that dt
+    initial = _load_dataset(Path(data_dir), replace(config, transformer=ckpt.config.transformer),
+                            config_path)
     for path, split in initial.items():
         if split.dt != ckpt.data["dt"]:
             raise ValueError(f"{path}: dt {split.dt / 2} differs from {ckpt.data['dt'] / 2}, "

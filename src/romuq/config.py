@@ -87,11 +87,15 @@ class DatagenSection:
         if self.case not in SOLVER_PARAMS:
             raise ConfigError(f"unknown case {self.case!r}; expected one of "
                               f"{list(SOLVER_PARAMS)}")
-        if not (0 < self.dt < math.inf and 0 < self.domain_length < math.inf):
-            raise ConfigError("dt and domain_length must be finite and positive")
+        for key, value in (("dt", self.dt), ("domain_length", self.domain_length),
+                           ("init_amplitude", self.init_amplitude)):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"datagen.{key} must be finite and positive, got {value}")
         for key, value in (("n_x", self.n_x), ("n_t", self.n_t)):
             if value < 2:
                 raise ConfigError(f"datagen.{key} must be >= 2, got {value}")
+        if self.case == "ks" and self.n_x & (self.n_x - 1):
+            raise ConfigError(f"datagen.n_x must be a power of two for case 'ks', got {self.n_x}")
 
 
 @dataclass

@@ -235,8 +235,6 @@ SOLVER_PARAMS = {"ks": (("nu",), ("ks_nu",)), "hopf": (("mu",), ("mu", "omega"))
 
 def split_even_odd(traj: Trajectory):
     """Even-index snapshots to train, odd to test; both at doubled dt."""
-    if traj.n_t < 4:
-        raise ValueError("need at least 4 snapshots to split")
     train = Trajectory(states=traj.states[0::2].copy(), dt=2 * traj.dt,
                        length=traj.length, param=traj.param)
     test = Trajectory(states=traj.states[1::2].copy(), dt=2 * traj.dt,

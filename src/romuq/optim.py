@@ -25,10 +25,10 @@ class Adam:
         self.t = 0
 
     def step(self):
-        """One in-place update over the gradients gathered into one flat vector.
-        A missing gradient raises ValueError, and a misshapen or resized one
-        ShapeError, before anything moves. Once the second moment is updated
-        the gradient is dead, so ``g`` then holds the denominator."""
+        """One in-place update that consumes every parameter's ``grad``: a
+        missing one raises ValueError, and a misshapen or resized one
+        ShapeError, before anything moves; after the update each is None.
+        Once the second moment is updated ``g`` holds the denominator."""
         spans = list(zip(self.params, self.offsets, self.offsets[1:]))
         g, m, v, a = self.g, self.m, self.v, self.a
         for i, (p, lo, hi) in enumerate(spans):
@@ -51,7 +51,4 @@ class Adam:
         a /= g
         for p, lo, hi in spans:
             p.data -= a[lo:hi].reshape(p.data.shape)
-
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+            p.grad = None

@@ -61,9 +61,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def zero_grad(self):
-        self.grad = None
-
     def accumulate_grad(self, g: np.ndarray):
         """Keep the first gradient as given and add later ones out of place:
         no gradient is updated in place, so tensors may share one array."""
@@ -387,11 +384,6 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     """Mean squared difference over all elements."""
     d = sub(a, b)
     return tensor_mean(mul(d, d))
-
-
-def linear(x: Tensor, layer) -> Tensor:
-    """x @ w + b for a ``(w, b)`` pair made by :meth:`Params.linear`."""
-    return matmul(x, *layer)
 
 
 class Params:

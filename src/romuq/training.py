@@ -95,7 +95,8 @@ class ModelCheckpoint:
     def check_fits(self, traj: Trajectory, name) -> None:
         """Refuse ``traj``, read from ``name``, unless it has the grid width,
         domain length and parameter names the model was fitted on, at a
-        ``dt`` that divides the fitted ``dt`` a whole number of times."""
+        ``dt`` that divides the fitted ``dt`` a whole number of times, and
+        a snapshot past the lookback to forecast."""
         for fact, value, want in (("grid width", traj.n_xy, self.config.vae.state_dim),
                                   ("domain length", traj.length, self.data["length"]),
                                   ("parameter names", list(traj.param.names()),
@@ -106,6 +107,10 @@ class ModelCheckpoint:
         if round(stride) < 1 or abs(stride - round(stride)) > 1e-9 * stride:
             raise ValueError(f"{name}: dt {traj.dt} does not divide the checkpoint's "
                              f"dt {self.data['dt']} a whole number of times")
+        q = self.config.transformer.lookback
+        if traj.n_t <= q:
+            raise ValueError(f"{name}: n_t {traj.n_t} is too short for lookback {q}: "
+                             f"a forecast needs n_t >= {q + 1}")
 
     def save(self, directory):
         directory = Path(directory)
@@ -235,7 +240,6 @@ def _run_epochs(ckpt: ModelCheckpoint, trajs, window_index, epochs,
             windows = [window_index[i] for i in order[start:start + cfg.batch_size]]
             phi_w, phi_t, xi = _gather_batch(trajs, windows, q, h, ckpt.stats)
             noise = rng.standard_normal((len(windows), q, z_dim))
-            opt.zero_grad()
             with Tape() as tape:
                 try:
                     loss, components = total_loss(ckpt.vae, ckpt.transformer, phi_w,
@@ -321,7 +325,5 @@ def forecast_trajectory(ckpt: ModelCheckpoint, traj: Trajectory):
     """Roll out from the first lookback window of ``traj`` at its parameters
     over the rest of it; returns (predicted states, true states)."""
     q = ckpt.config.transformer.lookback
-    if traj.n_t <= q:
-        raise ValueError(f"trajectory too short for lookback {q}")
     predicted, _ = predict_rollout(ckpt, traj.states[:q], traj.param, traj.n_t - q)
     return predicted, traj.states[q:]

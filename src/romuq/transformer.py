@@ -79,15 +79,15 @@ class AttentionBlock:
         batch, q_len = q_in.shape[0], q_in.shape[1]
         kv_len = kv_in.shape[1]
         dh = c.width // c.heads
-        q = self._heads_split(T.linear(q_in, self.wq), batch, q_len)
-        k_t = self._heads_split(T.linear(kv_in, self.wk), batch, kv_len, (0, 2, 3, 1))
-        v = self._heads_split(T.linear(kv_in, self.wv), batch, kv_len)
+        q = self._heads_split(T.matmul(q_in, *self.wq), batch, q_len)
+        k_t = self._heads_split(T.matmul(kv_in, *self.wk), batch, kv_len, (0, 2, 3, 1))
+        v = self._heads_split(T.matmul(kv_in, *self.wv), batch, kv_len)
         scores = T.scale(T.matmul(q, k_t), 1.0 / np.sqrt(dh))
         if mask is not None:
             scores = T.add(scores, mask)
         weights = T.softmax(scores)
         ctx = self._heads_join(T.matmul(weights, v), batch, q_len)
-        return T.linear(ctx, self.wo)
+        return T.matmul(ctx, *self.wo)
 
     def condition(self, xi_tokens: Tensor) -> Tensor:
         """The cross-attention output, ``(B, 1, width)``: a softmax over the
@@ -96,7 +96,7 @@ class AttentionBlock:
         if xi_tokens.shape[1] != 1:
             raise T.ShapeError("attention_block", xi_tokens.shape, (1,))
         # two affine maps in a row, kept apart on purpose: see LatentTransformer.condition
-        return T.linear(T.linear(xi_tokens, self.cv), self.co)
+        return T.matmul(T.matmul(xi_tokens, *self.cv), *self.co)
 
     def __call__(self, x: Tensor, cond: Tensor, last_only: bool = False) -> Tensor:
         """The block's output at every window position, or with
@@ -109,7 +109,7 @@ class AttentionBlock:
         rows, mask = (T.slice_axis(x, 1, q - 1, q), None) if last_only else (x, self.mask)
         x = T.layer_norm(rows, *self.ln1, residual=self._attend(rows, x, mask))
         x = T.layer_norm(x, *self.ln2, residual=cond)
-        h = T.linear(T.gelu(T.linear(x, self.ff1)), self.ff2)
+        h = T.matmul(T.gelu(T.matmul(x, *self.ff1)), *self.ff2)
         return T.layer_norm(x, *self.ln3, residual=h)
 
 
@@ -135,7 +135,7 @@ class LatentTransformer:
         rows = param_rows(xi, batch, self.config.param_dim)[:, None]  # (B, 1, param_dim)
         # xi_proj, cross_v, cross_o: one affine map of xi in three factors, kept. One map trains
         # to 5-100+ times the error at the farthest grid point (README, Parameter conditioning).
-        xi_tokens = T.linear(Tensor(rows), self.xi_proj)
+        xi_tokens = T.matmul(Tensor(rows), *self.xi_proj)
         return [block.condition(xi_tokens) for block in self.blocks]
 
     def forecast(self, window: Union[np.ndarray, Tensor], xi, cond=None) -> Tensor:
@@ -149,14 +149,14 @@ class LatentTransformer:
             raise T.ShapeError("forecast", x.shape, (c.lookback, c.latent_dim))
         self.forward_count += 1
         batch = x.shape[0]
-        h = T.add(T.linear(x, self.in_proj), self.pos)
+        h = T.add(T.matmul(x, *self.in_proj), self.pos)
         if cond is None:
             cond = self.condition(xi, batch)
         for block, block_cond in zip(self.blocks[:-1], cond):
             h = block(h, block_cond)
         # only the last position feeds the head, so the final block computes no other
         last = self.blocks[-1](h, cond[-1], last_only=True)
-        return T.reshape(T.linear(last, self.out_head), (batch, c.horizon, c.latent_dim))
+        return T.reshape(T.matmul(last, *self.out_head), (batch, c.horizon, c.latent_dim))
 
 
 @np.errstate(all="ignore")  # the tape reports non-finite values, by op

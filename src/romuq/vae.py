@@ -67,7 +67,7 @@ class Vae:
 
     def embed_xi(self, xi, batch: int) -> Tensor:
         # xi_embed then the first layer's rows: factored on purpose (README, Parameter conditioning)
-        return T.linear(Tensor(param_rows(xi, batch, self.config.param_dim)), self.xi_embed)
+        return T.matmul(Tensor(param_rows(xi, batch, self.config.param_dim)), *self.xi_embed)
 
     def encode(self, phi: Union[np.ndarray, Tensor], xi) -> LatentDistribution:
         """Map normalised snapshots (B, state_dim) to latent Gaussians."""
@@ -76,9 +76,9 @@ class Vae:
             raise T.ShapeError("encode", x.shape, (self.config.state_dim,))
         h = T.concat([x, self.embed_xi(xi, x.shape[0])], axis=1)
         for layer in self.enc_layers:
-            h = T.gelu(T.linear(h, layer))
-        return LatentDistribution(mu=T.linear(h, self.mu_head),
-                                  log_var=T.linear(h, self.lv_head))
+            h = T.gelu(T.matmul(h, *layer))
+        return LatentDistribution(mu=T.matmul(h, *self.mu_head),
+                                  log_var=T.matmul(h, *self.lv_head))
 
     def decode(self, z: Union[np.ndarray, Tensor], xi) -> Tensor:
         """Map latents (B, latent_dim) back to normalised snapshots."""
@@ -87,8 +87,8 @@ class Vae:
             raise T.ShapeError("decode", h.shape, (self.config.latent_dim,))
         h = T.concat([h, self.embed_xi(xi, h.shape[0])], axis=1)
         for layer in self.dec_layers:
-            h = T.gelu(T.linear(h, layer))
-        return T.linear(h, self.out_head)
+            h = T.gelu(T.matmul(h, *layer))
+        return T.matmul(h, *self.out_head)
 
 
 def reparameterize(dist: LatentDistribution, noise: Union[np.ndarray, Tensor]) -> Tensor:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from romuq.adaptive import AdaptiveState, evaluate_grid, run_loop, select_next
-from romuq.datagen import solve_hopf_surrogate, ParamPoint
+from romuq.datagen import solve_hopf_surrogate, ParamPoint, write_json
 from romuq.training import LossWeights, TrainConfig, train
 from romuq.transformer import TransformerConfig
 from romuq.vae import VaeConfig
@@ -50,7 +50,7 @@ def test_adaptive_state_round_trip(tmp_path):
     state = AdaptiveState(param_grid=[P(0.1), P(0.2)], trained_set=[P(0.2)],
                           history=[{"iteration": 0, "chosen": {"mu": 0.1}}])
     path = tmp_path / "state.json"
-    state.save(path)
+    write_json(path, state.to_dict())
     with open(path) as f:
         raw = json.load(f)
     assert raw == state.to_dict()

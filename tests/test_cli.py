@@ -239,6 +239,38 @@ def test_grid_below_two_points_exit_3_naming_the_key(runner, tmp_path, case, swe
     assert not out.exists()
 
 
+@pytest.mark.parametrize("datagen, case, message", [
+    ({"case": "ks", "n_x": 48}, None, "{cfg}: datagen.n_x must be a power of two for case "
+                                      "'ks', got 48"),
+    ({"case": "hopf", "n_x": 48}, "ks", "datagen.n_x must be a power of two for case 'ks', "
+                                        "got 48"),
+    ({"case": "hopf", "init_amplitude": 0}, None, "{cfg}: datagen.init_amplitude must be "
+                                                  "finite and positive, got 0"),
+], ids=["ks-n_x-48", "hopf-config-case-ks-n_x-48", "init_amplitude-0"])
+def test_generate_config_the_solver_cannot_run_exit_3_before_out(runner, tmp_path, datagen,
+                                                                 case, message):
+    # the Hopf solver runs at n_x 48: --case ks checks the section again
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"datagen": datagen}))
+    out = tmp_path / "data"
+    sweep = "nu=1.0" if (case or datagen["case"]) == "ks" else "mu=0.3"
+    res = runner.invoke(main, ["generate", "--config", str(cfg), "--sweep", sweep,
+                              *(["--case", case] if case else []), "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert f"invalid config: {message.format(cfg=cfg)}" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep, bad", [("nu=1,-1", "nu=-1.0"), ("ks_nu=0", "nu=0.0")])
+def test_generate_non_positive_ks_nu_exit_5_before_out(runner, tmp_path, sweep, bad):
+    out = tmp_path / "x"
+    res = runner.invoke(main, ["generate", "--case", "ks", "--sweep", sweep,
+                              "--out", str(out)])
+    assert res.exit_code == 5, res.output
+    assert f"--sweep values must be positive, got {bad}" in res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lr", [0, 0.0, -0.5])
 def test_non_positive_lr_exit_3_before_the_data_is_read(runner, tmp_path, lr):
     # lr 0 would save an untrained checkpoint, a negative one diverge
@@ -562,6 +594,66 @@ def test_adapt_on_files_at_the_fitted_dt_exit_5_before_out(runner, tmp_path):
     assert res.exit_code == 5, res.output
     assert (f"{tmp_path / 'dt02' / 'hopf_mu0.3.updr'}: dt 0.2 differs from 0.1, the dt "
             f"of the files {ckpt} was trained on") in res.output
+    assert not out.exists()
+
+
+def generate_at(runner, tmp, n_t, transformer=None):
+    """Hopf files at ``n_t`` under ``tmp/n_t{n_t}``, and a config that solves
+    them with ``transformer`` in place of SMALL_CONFIG's."""
+    cfg = tmp / f"n_t{n_t}.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONFIG, datagen={**SMALL_CONFIG["datagen"], "n_t": n_t},
+                                   transformer={**SMALL_CONFIG["transformer"],
+                                                **(transformer or {})})))
+    data = tmp / f"n_t{n_t}"
+    res = runner.invoke(main, ["generate", "--config", str(cfg), "--sweep", "mu=0.3,0.5",
+                              "--out", str(data)])
+    assert res.exit_code == 0, res.output
+    return cfg, data
+
+
+@pytest.mark.parametrize("n_t, transformer, message", [
+    (3, {"lookback": 1, "horizon": 1}, "lookback 1 + horizon 1: training needs n_t >= 4"),
+    (3, None, "lookback 3 + horizon 3: training needs n_t >= 11"),
+    (10, {"lookback": 4, "horizon": 2}, "lookback 4 + horizon 2: training needs n_t >= 11"),
+], ids=["split", "n_t3", "n_t10"])
+def test_train_on_files_too_short_for_a_window_exit_5_before_out(runner, tmp_path, n_t,
+                                                                 transformer, message):
+    # the even-index split of a file at n_t holds (n_t + 1) // 2 snapshots
+    cfg, data = generate_at(runner, tmp_path, n_t, transformer)
+    out = tmp_path / "train"
+    res = runner.invoke(main, ["train", "--config", str(cfg), "--data", str(data),
+                              "--out", str(out)])
+    assert res.exit_code == 5, res.output
+    assert f"{data / 'hopf_mu0.3.updr'}: n_t {n_t} is too short for {message}" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["infer"], ["uq", "--n", "2"]], ids=["infer", "uq"])
+def test_forecast_on_a_file_no_longer_than_the_lookback_exit_5_before_out(runner, tmp_path,
+                                                                          command):
+    ckpt = run_train(runner, tmp_path, run_generate(runner, tmp_path))
+    _, data = generate_at(runner, tmp_path, 3)
+    out = tmp_path / "out"
+    res = runner.invoke(main, [*command, "--checkpoint", str(ckpt), "--data",
+                              str(data / "hopf_mu0.3.updr"), "--out", str(out)])
+    assert res.exit_code == 5, res.output
+    assert (f"{data / 'hopf_mu0.3.updr'}: n_t 3 is too short for lookback 3: a forecast "
+            f"needs n_t >= 4") in res.output
+    assert not out.exists()
+
+
+def test_adapt_on_files_too_short_for_the_checkpoints_window_exit_5_before_out(runner,
+                                                                              tmp_path):
+    # the config's lookback 1 + horizon 1 would fit n_t 10; the checkpoint's
+    # lookback 3 + horizon 3, which the loop retrains with, do not
+    ckpt = run_train(runner, tmp_path, run_generate(runner, tmp_path))
+    cfg, data = generate_at(runner, tmp_path, 10, {"lookback": 1, "horizon": 1})
+    out = tmp_path / "adapt"
+    res = runner.invoke(main, ["adapt", "--config", str(cfg), "--checkpoint", str(ckpt),
+                              "--data", str(data), "--out", str(out)])
+    assert res.exit_code == 5, res.output
+    assert (f"{data / 'hopf_mu0.3.updr'}: n_t 10 is too short for lookback 3 + horizon 3: "
+            f"training needs n_t >= 11") in res.output
     assert not out.exists()
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from romuq import tensor as T
 from romuq.optim import EPS, Adam
-from romuq.tensor import ShapeError, Tensor
+from romuq.tensor import ShapeError, Tape, Tensor, backward
 
 
 def test_zero_grad_from_zero_state_leaves_params_unchanged():
@@ -70,7 +71,6 @@ def test_identical_runs_are_bit_identical():
         for _ in range(20):
             p.grad = p.data * 2.0
             opt.step()
-            opt.zero_grad()
         return p.data.tobytes()
 
     assert run() == run()
@@ -123,3 +123,55 @@ def test_parameter_without_gradient_is_unchanged_while_its_moments_are_zero():
             opt.step()
     assert opt.t == 0 and [p.data.tobytes(), q.data.tobytes()] == before
     assert not opt.m.any() and not opt.v.any()
+
+
+# ------------------------------------------------------- gradient lifecycle
+
+
+def two_params():
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    q = Tensor(np.ones(3), requires_grad=True)
+    return p, q, Adam([p, q], lr=0.1)
+
+
+def test_step_consumes_every_gradient():
+    p, q, opt = two_params()
+    p.grad, q.grad = np.full(2, 0.5), np.full(3, -0.5)
+    opt.step()
+    assert p.grad is None and q.grad is None
+
+
+def test_second_step_without_backward_is_refused_before_anything_moves():
+    p, q, opt = two_params()
+    p.grad, q.grad = np.full(2, 0.5), np.full(3, -0.5)
+    opt.step()
+    before = [x.copy() for x in (p.data, q.data, opt.m, opt.v)]
+    with pytest.raises(ValueError, match=r"^Adam.step: parameter 0 of shape \(2,\) "
+                                         r"has no gradient$"):
+        opt.step()
+    assert opt.t == 1
+    for got, want in zip((p.data, q.data, opt.m, opt.v), before):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [None, np.zeros(4)], ids=["missing", "misshapen"])
+def test_refused_step_leaves_the_other_gradients_in_place(bad):
+    p, q, opt = two_params()
+    g = np.full(2, 0.5)
+    p.grad, q.grad = g, bad
+    with pytest.raises(ValueError, match="Adam.step"):
+        opt.step()
+    assert p.grad is g and q.grad is bad
+
+
+def test_backward_after_step_gives_the_fresh_gradient():
+    # d/dp sum(p * p * c) = 2 p c; a gradient left over from the first
+    # backward would be added into the second one
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    c = Tensor(np.array([0.5, 0.5]))
+    opt = Adam([p], lr=0.1)
+    for _ in range(2):
+        with Tape() as tape:
+            backward(tape, T.tensor_sum(T.mul(T.mul(p, p), c)))
+        np.testing.assert_allclose(p.grad, p.data)
+        opt.step()

@@ -12,8 +12,8 @@ import romuq
 from romuq.datagen import NormStats, ParamPoint, Trajectory
 from romuq.tensor import NonFiniteError
 from romuq.training import (LossWeights, ModelCheckpoint, TrainConfig,
-                            TrainingDiverged, predict_rollout, retrain,
-                            total_loss, train)
+                            TrainingDiverged, forecast_trajectory, predict_rollout,
+                            retrain, total_loss, train)
 from romuq.transformer import TransformerConfig
 from romuq.vae import VaeConfig
 
@@ -368,6 +368,8 @@ def test_checkpoint_load_refuses_a_malformed_data_contract(tmp_path, data):
     (dict(length=2.0), "domain length 2.0 differs from the checkpoint's 1.0"),
     (dict(param=ParamPoint.of(nu=0.2)), "parameter names ['nu'] differs from the checkpoint's"),
     (dict(states=np.zeros((30, 16))), "grid width 16 differs from the checkpoint's 8"),
+    (dict(states=np.zeros((4, 8))), None),
+    (dict(states=np.zeros((3, 8))), "n_t 3 is too short for lookback 3: a forecast needs n_t >= 4"),
 ])
 def test_check_fits_refuses_data_the_model_was_not_fitted_on(change, message):
     dataset = tiny_dataset()
@@ -378,6 +380,15 @@ def test_check_fits_refuses_data_the_model_was_not_fitted_on(change, message):
     else:
         with pytest.raises(ValueError, match=re.escape(f"file.updr: {message}")):
             ckpt.check_fits(traj, "file.updr")
+
+
+@pytest.mark.parametrize("n_t, message", [(3, "steps must be >= 1"),
+                                          (2, "need 3 initial snapshots, got 2")])
+def test_forecast_over_a_trajectory_no_longer_than_the_lookback_raises(n_t, message):
+    # predict_rollout and rollout refuse it: the caller's check_fits names the file
+    ckpt = zeroed_model_checkpoint(tiny_config())
+    with pytest.raises(ValueError, match=message):
+        forecast_trajectory(ckpt, tiny_dataset(n_t=n_t)[0])
 
 
 # ---------------------------------------------------------------- determinism

@@ -96,12 +96,12 @@ def full_window_forecast(model, window, xi):
     the last position."""
     c = model.config
     batch = window.shape[0]
-    h = T.add(T.linear(Tensor(window), model.in_proj), model.pos)
-    xi_tokens = T.reshape(T.linear(Tensor(xi), model.xi_proj), (batch, 1, c.width))
+    h = T.add(T.matmul(Tensor(window), *model.in_proj), model.pos)
+    xi_tokens = T.reshape(T.matmul(Tensor(xi), *model.xi_proj), (batch, 1, c.width))
     for block in model.blocks:
         h = block(h, block.condition(xi_tokens))
     last = T.reshape(T.slice_axis(h, 1, c.lookback - 1, c.lookback), (batch, c.width))
-    return T.reshape(T.linear(last, model.out_head), (batch, c.horizon, c.latent_dim))
+    return T.reshape(T.matmul(last, *model.out_head), (batch, c.horizon, c.latent_dim))
 
 
 def outputs_and_grads(model, reference, rng, batch):
@@ -113,7 +113,7 @@ def outputs_and_grads(model, reference, rng, batch):
     results = []
     for run in (model.forecast, lambda w, x: reference(model, w, x)):
         for _, p in model.named_parameters():
-            p.zero_grad()
+            p.grad = None
         with Tape() as tape:
             out = run(window, xi)
             backward(tape, T.tensor_sum(T.mul(out, weights)))
@@ -137,15 +137,15 @@ def multi_head_attention(block, q_in, kv_in, proj_q, proj_k, proj_v, proj_o,
     """General scaled dot-product attention of ``q_in`` over ``kv_in``."""
     c = block.config
     batch, q_len, kv_len = q_in.shape[0], q_in.shape[1], kv_in.shape[1]
-    q = block._heads_split(T.linear(q_in, proj_q), batch, q_len)
-    k = block._heads_split(T.linear(kv_in, proj_k), batch, kv_len)
-    v = block._heads_split(T.linear(kv_in, proj_v), batch, kv_len)
+    q = block._heads_split(T.matmul(q_in, *proj_q), batch, q_len)
+    k = block._heads_split(T.matmul(kv_in, *proj_k), batch, kv_len)
+    v = block._heads_split(T.matmul(kv_in, *proj_v), batch, kv_len)
     scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
                      1.0 / np.sqrt(c.width // c.heads))
     if mask is not None:
         scores = T.add(scores, mask)
     ctx = block._heads_join(T.matmul(T.softmax(scores), v), batch, q_len)
-    return T.linear(ctx, proj_o)
+    return T.matmul(ctx, *proj_o)
 
 
 def cross_attention_forecast(model, window, xi, cross_qk):
@@ -157,8 +157,8 @@ def cross_attention_forecast(model, window, xi, cross_qk):
     the model's order."""
     c = model.config
     batch = window.shape[0]
-    h = T.add(T.linear(Tensor(window), model.in_proj), model.pos)
-    xi_tokens = T.linear(Tensor(xi[:, None]), model.xi_proj)
+    h = T.add(T.matmul(Tensor(window), *model.in_proj), model.pos)
+    xi_tokens = T.matmul(Tensor(xi[:, None]), *model.xi_proj)
     for i, (block, (cq, ck)) in enumerate(zip(model.blocks, cross_qk)):
         q = c.lookback
         rows, mask = ((T.slice_axis(h, 1, q - 1, q), None) if i == c.blocks - 1
@@ -167,9 +167,9 @@ def cross_attention_forecast(model, window, xi, cross_qk):
             block, rows, h, block.wq, block.wk, block.wv, block.wo, mask)), *block.ln1)
         x = T.layer_norm(T.add(x, multi_head_attention(
             block, x, xi_tokens, cq, ck, block.cv, block.co)), *block.ln2)
-        ff = T.linear(T.gelu(T.linear(x, block.ff1)), block.ff2)
+        ff = T.matmul(T.gelu(T.matmul(x, *block.ff1)), *block.ff2)
         h = T.layer_norm(T.add(x, ff), *block.ln3)
-    return T.reshape(T.linear(h, model.out_head), (batch, c.horizon, c.latent_dim))
+    return T.reshape(T.matmul(h, *model.out_head), (batch, c.horizon, c.latent_dim))
 
 
 @pytest.mark.parametrize("blocks", [1, 2])
@@ -450,7 +450,6 @@ def test_constant_latent_training_learns_identity_dynamics():
     xi = np.array([0.0])
     opt = Adam([p for _, p in model.named_parameters()], lr=3e-3)
     for _ in range(300):
-        opt.zero_grad()
         with Tape() as tape:
             loss = T.mse(model.forecast(window[None], xi), target)
             backward(tape, loss)

@@ -75,19 +75,25 @@ def romuq(work: Path, args: list) -> subprocess.CompletedProcess:
 
 
 def make_error_inputs(work: Path):
-    """Broken copies of the Hopf flow's outputs, impossible configs and Hopf
-    files at the checkpoint's fitted dt (twice the flow's), under errors/."""
+    """Broken copies of the Hopf flow's outputs, impossible configs, and Hopf
+    files at the checkpoint's fitted dt (twice the flow's) and at n_t 3,
+    under errors/."""
     err = work / "errors"
     err.mkdir()
     (err / "n_t0.json").write_text(json.dumps({"datagen": {"case": "hopf", "n_t": 0}}))
     (err / "lr0.json").write_text(json.dumps({"training": {"lr": 0}}))
+    (err / "n_x48.json").write_text(json.dumps({"datagen": {"case": "ks", "n_x": 48}}))
+    (err / "amplitude0.json").write_text(json.dumps(
+        {"datagen": {"case": "hopf", "init_amplitude": 0}}))
     hopf = FLOWS["hopf"]["config"]
-    (err / "dt02.json").write_text(json.dumps(
-        dict(hopf, datagen=dict(hopf["datagen"], dt=2 * hopf["datagen"]["dt"]))))
-    proc = romuq(work, ["generate", "--config", "errors/dt02.json",
-                        "--sweep", FLOWS["hopf"]["sweep"], "--out", "errors/dt02"])
-    if proc.returncode != 0:
-        raise RuntimeError(f"generating errors/dt02 exited {proc.returncode}:\n{proc.stderr}")
+    for name, change in (("dt02", {"dt": 2 * hopf["datagen"]["dt"]}), ("n_t3", {"n_t": 3})):
+        (err / f"{name}.json").write_text(json.dumps(
+            dict(hopf, datagen=dict(hopf["datagen"], **change))))
+        proc = romuq(work, ["generate", "--config", f"errors/{name}.json",
+                            "--sweep", FLOWS["hopf"]["sweep"], "--out", f"errors/{name}"])
+        if proc.returncode != 0:
+            raise RuntimeError(f"generating errors/{name} exited {proc.returncode}:\n"
+                               f"{proc.stderr}")
     raw = (work / "hopf/data/hopf_mu0.4.updr").read_bytes()
     (err / "truncated.updr").write_bytes(raw[:-100])
     for name in ("v1", "flipped"):
@@ -133,6 +139,19 @@ ERROR_CASES = [
     ("adapt --budget 0",
      ["adapt", "--config", "hopf/config.json", "--checkpoint", "hopf/train/checkpoint",
       "--data", "hopf/data", "--budget", "0", "--out", "errors/out_budget0"]),
+    ("train on files generated at n_t 3",
+     ["train", "--config", "errors/n_t3.json", "--data", "errors/n_t3",
+      "--out", "errors/out_train_n_t3"]),
+    ("infer on a file no longer than the lookback",
+     ["infer", "--checkpoint", "hopf/train/checkpoint", "--data", "errors/n_t3/hopf_mu0.4.updr",
+      "--out", "errors/out_infer_n_t3"]),
+    ("datagen.n_x 48 for case ks",
+     ["generate", "--config", "errors/n_x48.json", "--sweep", "nu=1", "--out", "errors/out_n_x48"]),
+    ("a negative ks nu",
+     ["generate", "--case", "ks", "--sweep", "nu=-1", "--out", "errors/out_nu"]),
+    ("datagen.init_amplitude 0",
+     ["generate", "--config", "errors/amplitude0.json", "--sweep", "mu=0.1",
+      "--out", "errors/out_amplitude0"]),
 ]
 
 
