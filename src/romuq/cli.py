@@ -98,21 +98,27 @@ def _check_datagen(config: RunConfig, config_path, traj: Trajectory, path):
             raise ValueError(f"{name}: {field} {value} differs from {want} in {path}")
 
 
+def _check_window(n_t: int, label: str, transformer):
+    """Refuse ``n_t`` snapshots, which ``label`` names, unless their even-index
+    split holds a training window of ``transformer``'s lookback and horizon."""
+    q, h = transformer.lookback, transformer.horizon
+    need = max(4, 2 * (q + h) - 1)  # both halves of a split hold two snapshots
+    if n_t < need:
+        raise ValueError(f"{label} {n_t} is too short for lookback {q} + horizon {h}: "
+                         f"training needs n_t >= {need}")
+
+
 def _load_dataset(data_dir: Path, config: RunConfig, config_path) -> dict:
     """The even-index split of every trajectory in ``data_dir``, by path; each file
     must be what a solve at ``config``'s ``datagen`` writes, and hold a training window."""
     files = sorted(data_dir.glob("*.updr"))
     if not files:
         raise FileNotFoundError(f"no .updr trajectory files in {data_dir}")
-    q, h = config.transformer.lookback, config.transformer.horizon
-    need = max(4, 2 * (q + h) - 1)  # both halves of a split hold two snapshots
     dataset = {}
     for path in files:
         traj = read_trajectory(path)
         _check_datagen(config, config_path, traj, path)
-        if traj.n_t < need:
-            raise ValueError(f"{path}: n_t {traj.n_t} is too short for lookback {q} + "
-                             f"horizon {h}: training needs n_t >= {need}")
+        _check_window(traj.n_t, f"{path}: n_t", config.transformer)
         dataset[path] = split_even_odd(traj)[0]
     return dataset
 
@@ -280,6 +286,9 @@ def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir)
             raise ValueError(f"{path}: dt {split.dt / 2} differs from {ckpt.data['dt'] / 2}, "
                              f"the dt of the files {ckpt_dir} was trained on")
         ckpt.check_fits(split, path)
+    # the loop retrains on the even-index split of every grid solve
+    _check_window(config.datagen.n_t, f"{config_path or 'the default config'}: datagen.n_t",
+                  ckpt.config.transformer)
     grid = _grid(config)
 
     def generator(point: ParamPoint) -> Trajectory:
