@@ -10,13 +10,12 @@ selection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .datagen import ParamPoint, Trajectory, write_json
-from .metrics import ZeroVarianceError, pearson, scaled_mse, write_param_csv
+from .datagen import ParamPoint, Trajectory
+from .metrics import ZeroVarianceError, pearson, scaled_mse
 from .training import ModelCheckpoint, forecast_trajectory, retrain
 from .uq import check_ensemble_size, second_pass
 
@@ -65,13 +64,12 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
              grid: Sequence[ParamPoint], budget: int, threshold: float,
              initial_data: Sequence[Trajectory], retrain_epochs: int = 40,
              replay_fraction: float = 0.25, ensemble_n: int = 64,
-             seed: int = 0, out_dir=None):
+             seed: int = 0):
     """Adaptive sampling loop; returns (AdaptiveState, final checkpoint).
 
     ``generator`` supplies each grid point's ground truth, all solved once
     before the first iteration; one whose ``param`` is not the requested
-    point raises ValueError. ``out_dir`` is created only once every truth
-    is solved, so a failed solve writes nothing. Stops when the maximum uncertainty over
+    point raises ValueError. Stops when the maximum uncertainty over
     untrained points falls below ``threshold`` or after ``budget`` iterations.
     """
     if budget < 1:
@@ -90,9 +88,6 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
             if traj.param != point:
                 raise ValueError(f"the generator returned a trajectory at "
                                  f"{traj.param.as_dict()} for {point.as_dict()}")
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
 
     for iteration in range(budget + 1):
         nu_list, mse_list, _ = evaluate_grid(ckpt, truths, grid, ensemble_n,
@@ -112,9 +107,6 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
             "chosen": None,
         }
         state.history.append(record)
-        if out_path is not None:
-            write_param_csv(out_path / f"iter{iteration}_nu.csv", grid, nu_xi=nu_list)
-            write_param_csv(out_path / f"iter{iteration}_mse.csv", grid, scaled_mse=mse_list)
 
         converged = not untrained or max(v for _, v in untrained) < threshold
         if converged or iteration == budget:
@@ -127,7 +119,4 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
                 dataset_id=f"adaptive_iter{iteration}")
         replay_pool.append(truths[chosen])
         state.trained_set.append(chosen)
-
-    if out_path is not None:
-        write_json(out_path / "adaptive_history.json", state.to_dict())
     return state, ckpt

@@ -174,10 +174,12 @@ def generate(config_path, case, sweep, seed, out_dir):
             raise ValueError(f"--sweep values {files[fname]!r} and {value!r} both "
                              f"write {fname}")
         files[fname] = value
+    # every value is solved before --out exists, so a solver blow-up writes nothing
+    trajs = {fname: _generate_one(config, {name: value}) for fname, value in files.items()}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for fname, value in files.items():
-        write_trajectory(out / fname, _generate_one(config, {name: value}))
+    for fname, traj in trajs.items():
+        write_trajectory(out / fname, traj)
     write_json(out / "manifest.json", {"case": case, "sweep": {name: values},
                                        "files": list(files), "seed": config.seed})
     write_resolved(config, out)
@@ -295,13 +297,19 @@ def cmd_adapt(config_path, ckpt_dir, data_dir, budget, threshold, seed, out_dir)
         """The even-index split of the solve at ``point``: the trained dt."""
         return split_even_odd(_generate_one(config, point.as_dict()))[0]
 
+    state, _ = run_loop(ckpt, generator, grid, config.adaptive.budget,
+                        config.adaptive.threshold, initial_data=list(initial.values()),
+                        retrain_epochs=config.training.retrain_epochs,
+                        replay_fraction=config.training.replay_fraction,
+                        ensemble_n=config.uq.ensemble_n, seed=config.seed)
+    # --out appears only once the loop has succeeded; history owns every table value
     out = Path(out_dir)
-    run_loop(ckpt, generator, grid, config.adaptive.budget,
-             config.adaptive.threshold, initial_data=list(initial.values()),
-             retrain_epochs=config.training.retrain_epochs,
-             replay_fraction=config.training.replay_fraction,
-             ensemble_n=config.uq.ensemble_n, seed=config.seed, out_dir=out)
     ckpt.save(out / "checkpoint")
+    for i, rec in enumerate(state.history):
+        write_param_csv(out / f"iter{i}_nu.csv", grid, nu_xi=[e["nu"] for e in rec["nu_xi"]])
+        write_param_csv(out / f"iter{i}_mse.csv", grid,
+                        scaled_mse=[e["mse"] for e in rec["scaled_mse"]])
+    write_json(out / "adaptive_history.json", state.to_dict())
     write_resolved(config, out)
     click.echo(f"adaptive history written to {out}")
 

@@ -330,9 +330,9 @@ def read_trajectory(path) -> Trajectory:
     """Load a file written by :func:`write_trajectory`. A file shorter than
     its header's counts need (checked before anything is allocated), with
     bad magic, another format version, bytes after the checksum, fewer than
-    two steps, zero width, a non-UTF-8 parameter name, a non-finite value, a
-    step or length that is not positive, or a checksum that does not match
-    raises ValueError naming the path."""
+    two steps, zero width, a non-UTF-8 or repeated parameter name, a
+    non-finite value, a step or length that is not positive, or a checksum
+    that does not match raises ValueError naming the path."""
     path = Path(path)
     raw, offset = path.read_bytes(), 0
 
@@ -356,6 +356,8 @@ def read_trajectory(path) -> Trajectory:
             name = name.decode("utf-8")
         except UnicodeDecodeError:
             raise ValueError(f"parameter name {name!r} is not UTF-8 in {path}") from None
+        if name in params:
+            raise ValueError(f"parameter {name!r} is named twice in {path}")
         params[name], = VALUE.unpack(take(VALUE.size))
     payload = np.frombuffer(take(4 * n_t * n_xy), dtype="<f4")
     crc, = CRC.unpack(take(CRC.size))

@@ -23,6 +23,7 @@ import json
 import math
 import shlex
 import struct
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -125,6 +126,11 @@ def _mu(good: bytes) -> int:
     return good.index(b"\x02\x00mu") + 4
 
 
+def _with_crc(body: bytes) -> bytes:
+    """``body`` with its trailing checksum recomputed."""
+    return body[:-4] + struct.pack("<I", zlib.crc32(body[:-4]))
+
+
 # name: (the flow's first .updr file changed, what each refusal of it says);
 # ``{path}`` is the changed file
 MALFORMED_UPDR = {
@@ -145,6 +151,9 @@ MALFORMED_UPDR = {
                    "states must be (n_t>=2, n_xy>=1), got (40, 0) in {path}"),
     "bad_name": (lambda g: g[:_mu(g) - 2] + b"\xffu" + g[_mu(g):],
                  "parameter name b'\\xffu' is not UTF-8 in {path}"),
+    # omega renamed mu, with a valid checksum: only the name check can refuse it
+    "dup_name": (lambda g: _with_crc(g.replace(b"\x05\x00omega", b"\x02\x00mu")),
+                 "parameter 'mu' is named twice in {path}"),
 }
 BAD_HEADER_UPDR = {
     # format 1: version 1, no length after dt, no checksum
@@ -290,6 +299,9 @@ def _table() -> list:
     for sweep, bad in (("nu=1,-1", "nu=-1.0"), ("ks_nu=0", "nu=0.0")):
         add(f"generate_non_positive_ks_nu_exit_5_before_out[{sweep}-{bad}]",
             f"generate --case ks --sweep {sweep}", 5, f"--sweep values must be positive, got {bad}")
+    # every value is solved before --out is created
+    add("generate_solver_blow_up_exit_4_before_out", "generate --case hopf --sweep mu=0.3,100",
+        4, "Stuart-Landau divergence at mu=100 (step 2)")
     # none of the inputs exists: the seed is refused first
     for i, args in enumerate(("generate --sweep mu=0.3 --seed -3",
                               "train --data missing/data --seed -2",
@@ -538,8 +550,7 @@ def _table() -> list:
         4, "training diverged at epoch 0, step 2: non-finite output of exp")
     for command in ("infer", "uq", "adapt"):
         add(f"non_finite_rollout_exit_4/{command}", _reads(ckpt="errors/ckpt_1e300")[command], 4,
-            "latent rollout diverged at step 0: non-finite output of matmul",
-            out_may_exist=command == "adapt")
+            "latent rollout diverged at step 0: non-finite output of matmul")
     return cases
 
 

@@ -72,7 +72,7 @@ def hopf_run():
 
 
 @pytest.fixture(scope="session")
-def adaptive_run(tmp_path_factory):
+def adaptive_run():
     """Five-iteration adaptive loop on short, transient-dominated
     trajectories, where every grid point's dynamics stay distinct."""
 
@@ -88,13 +88,9 @@ def adaptive_run(tmp_path_factory):
                                       param_dim=2),
         loss=LossWeights(), epochs=60, batch_size=32, lr=1e-3)
     ckpt = train(initial, config, seed=2)
-    out = tmp_path_factory.mktemp("adaptive")
-    state, final = run_loop(ckpt, gen,
-                            [hopf_point(mu) for mu in HOPF_GRID_MU],
-                            budget=5, threshold=0.0, initial_data=initial,
-                            retrain_epochs=10, replay_fraction=0.25,
-                            ensemble_n=64, seed=0, out_dir=out)
-    return state, final, out
+    return run_loop(ckpt, gen, [hopf_point(mu) for mu in HOPF_GRID_MU],
+                    budget=5, threshold=0.0, initial_data=initial,
+                    retrain_epochs=10, replay_fraction=0.25, ensemble_n=64, seed=0)
 
 
 # ----------------------------------------------------- 1: autodiff soundness
@@ -265,7 +261,7 @@ def test_criterion_6_bifurcation_trend(criterion, hopf_run):
 
 
 def test_criterion_7_uq_error_correlation(criterion, adaptive_run):
-    state, _, _ = adaptive_run
+    state, _ = adaptive_run
     rs = [rec["pearson_r"] for rec in state.history]
     criterion(7, "UQ-error correlation", all(r >= 0.5 for r in rs),
               "r per iteration: " + ", ".join(f"{r:.2f}" for r in rs))
@@ -275,7 +271,7 @@ def test_criterion_7_uq_error_correlation(criterion, adaptive_run):
 
 
 def test_criterion_8_adaptive_improvement(criterion, adaptive_run):
-    state, _, _ = adaptive_run
+    state, _ = adaptive_run
     max_mse = [max(e["mse"] for e in rec["scaled_mse"])
                for rec in state.history]
     improved = max_mse[-1] < max_mse[0]

@@ -80,44 +80,35 @@ def trained_pair():
     return ckpt, initial
 
 
-def test_run_loop_infinite_threshold_stops_immediately(tmp_path, trained_pair):
+def test_run_loop_infinite_threshold_stops_immediately(trained_pair):
     ckpt, initial = trained_pair
     lineage_before = len(ckpt.lineage)
     grid = [H(0.2), H(0.4), H(0.5)]
     state, out = run_loop(ckpt, generator, grid, budget=3,
                           threshold=float("inf"), initial_data=initial,
-                          retrain_epochs=1, ensemble_n=4, seed=1,
-                          out_dir=tmp_path)
+                          retrain_epochs=1, ensemble_n=4, seed=1)
     assert out is ckpt
     assert len(ckpt.lineage) == lineage_before  # no retraining happened
     assert len(state.history) == 1
     assert state.history[0]["chosen"] is None
-    assert (tmp_path / "iter0_nu.csv").exists()
-    assert (tmp_path / "iter0_mse.csv").exists()
-    assert (tmp_path / "adaptive_history.json").exists()
-    assert not (tmp_path / "iter1_nu.csv").exists()
 
 
-def test_run_loop_budget_exhaustion_grows_trained_set(tmp_path):
+def test_run_loop_budget_exhaustion_grows_trained_set():
     initial = [generator(H(0.5))]
     ckpt = train(initial, small_config(epochs=2), seed=2)
     grid = [H(0.2), H(0.3), H(0.5)]
     state, _ = run_loop(ckpt, generator, grid, budget=2, threshold=0.0,
                         initial_data=initial, retrain_epochs=1,
-                        ensemble_n=4, seed=3, out_dir=tmp_path)
+                        ensemble_n=4, seed=3)
     # threshold 0 never converges; budget 2 means two acquisitions
     assert len(state.trained_set) == 3
     assert set(state.trained_set) == {H(0.2), H(0.3), H(0.5)}
     assert len(state.history) == 3
     assert state.history[-1]["chosen"] is None
     assert len(ckpt.lineage) == 3  # initial fit + two retrains
-    for i in range(3):
-        assert (tmp_path / f"iter{i}_nu.csv").exists()
-    with open(tmp_path / "adaptive_history.json") as f:
-        assert json.load(f) == state.to_dict()
 
 
-def test_run_loop_writes_nothing_when_generator_fails(tmp_path, trained_pair):
+def test_run_loop_writes_nothing_when_generator_fails(trained_pair):
     ckpt, initial = trained_pair
 
     def broken(point):
@@ -125,11 +116,10 @@ def test_run_loop_writes_nothing_when_generator_fails(tmp_path, trained_pair):
 
     with pytest.raises(RuntimeError):
         run_loop(ckpt, broken, [H(0.9), H(1.0)], budget=1, threshold=0.0,
-                 initial_data=initial, ensemble_n=4, out_dir=tmp_path / "out")
-    assert not (tmp_path / "out").exists()
+                 initial_data=initial, ensemble_n=4)
 
 
-def test_run_loop_rejects_a_trajectory_at_another_point(tmp_path, trained_pair):
+def test_run_loop_rejects_a_trajectory_at_another_point(trained_pair):
     ckpt, initial = trained_pair
 
     def elsewhere(point):  # solves at mu, ignoring the point's omega
@@ -137,9 +127,7 @@ def test_run_loop_rejects_a_trajectory_at_another_point(tmp_path, trained_pair):
 
     with pytest.raises(ValueError, match="generator returned a trajectory at"):
         run_loop(ckpt, elsewhere, [H(0.2), ParamPoint.of(mu=0.9, omega=2.0)],
-                 budget=1, threshold=0.0, initial_data=initial, ensemble_n=4,
-                 out_dir=tmp_path / "out")
-    assert not (tmp_path / "out").exists()
+                 budget=1, threshold=0.0, initial_data=initial, ensemble_n=4)
 
 
 def test_run_loop_rejects_bad_budget(trained_pair):
@@ -149,7 +137,7 @@ def test_run_loop_rejects_bad_budget(trained_pair):
                  initial_data=initial)
 
 
-def test_run_loop_rejects_one_point_grid_before_generating(tmp_path, trained_pair):
+def test_run_loop_rejects_one_point_grid_before_generating(trained_pair):
     # the uncertainty-error correlation of an iteration needs two grid points
     ckpt, initial = trained_pair
     calls = []
@@ -161,12 +149,11 @@ def test_run_loop_rejects_one_point_grid_before_generating(tmp_path, trained_pai
     for grid in ([], [H(0.2)]):
         with pytest.raises(ValueError, match="at least two points"):
             run_loop(ckpt, counting, grid, budget=1, threshold=0.0,
-                     initial_data=initial, ensemble_n=4, out_dir=tmp_path)
+                     initial_data=initial, ensemble_n=4)
     assert calls == []
-    assert not (tmp_path / "iter0_nu.csv").exists()
 
 
-def test_run_loop_rejects_tiny_ensemble_before_generating(tmp_path, trained_pair):
+def test_run_loop_rejects_tiny_ensemble_before_generating(trained_pair):
     ckpt, initial = trained_pair
     calls = []
 
@@ -176,7 +163,7 @@ def test_run_loop_rejects_tiny_ensemble_before_generating(tmp_path, trained_pair
 
     with pytest.raises(ValueError, match="ensemble size must be >= 2"):
         run_loop(ckpt, counting, [H(0.2), H(0.9)], budget=1, threshold=0.0,
-                 initial_data=initial, ensemble_n=1, out_dir=tmp_path)
+                 initial_data=initial, ensemble_n=1)
     assert calls == []
 
 

@@ -15,6 +15,7 @@ from romuq.adaptive import evaluate_grid
 from romuq.cli import _check_datagen, _generate_one, main
 from romuq.config import ConfigError, DatagenSection, RunConfig, TrainingSection
 from romuq.datagen import ParamPoint, read_trajectory, solve_hopf_surrogate, split_even_odd
+from romuq.errors import TrainingDiverged
 from romuq.training import ModelCheckpoint, predict_rollout
 from romuq.uq import second_pass
 
@@ -257,10 +258,36 @@ def test_adapt_runs_one_iteration(runner, tmp_path):
     assert res.exit_code == 0, res.output
     hist = json.loads((tmp_path / "adapt/adaptive_history.json").read_text())
     assert len(hist["history"]) == 2  # iteration 0 acquisition + final sweep
-    assert (tmp_path / "adapt/iter0_nu.csv").exists()
-    assert (tmp_path / "adapt/iter1_nu.csv").exists()
+    assert hist["param_grid"] == SMALL_CONFIG["adaptive"]["grid"]
+    assert hist["trained_set"][2:] == [hist["history"][0]["chosen"]]  # after the two files
+    # each iteration's tables hold its history record's values, in grid order
+    for i, rec in enumerate(hist["history"]):
+        assert rec["iteration"] == i
+        for table, key, column in (("nu", "nu_xi", "nu"), ("mse", "scaled_mse", "mse")):
+            rows = [f"{e['param']['mu']!r},{e['param']['omega']!r},{e[column]!r}"
+                    for e in rec[key]]
+            assert (tmp_path / f"adapt/iter{i}_{table}.csv").read_text() == \
+                "\n".join([f"mu,omega,{key}", *rows, ""])
+    assert not list((tmp_path / "adapt").glob("iter2_*"))
     assert (tmp_path / "adapt/checkpoint/manifest.json").exists()
     assert_csvs_load(tmp_path / "adapt")
+
+
+def test_adapt_failing_inside_the_loop_leaves_no_out(runner, tmp_path, monkeypatch):
+    # the loop's first retrain diverges after iteration 0 has been scored
+    data = run_generate(runner, tmp_path)
+    ckpt = run_train(runner, tmp_path, data)
+
+    def diverging(*args, **kwargs):
+        raise TrainingDiverged(0, 0, "exp")
+
+    monkeypatch.setattr(romuq.adaptive, "retrain", diverging)
+    res = runner.invoke(main, ["adapt", "--config", str(tmp_path / "config.json"),
+                              "--checkpoint", str(ckpt), "--data", str(data),
+                              "--out", str(tmp_path / "adapt")])
+    assert res.exit_code == 4, res.output
+    assert "training diverged at epoch 0, step 0" in res.output
+    assert not (tmp_path / "adapt").exists()
 
 
 def test_adapt_resolved_config_records_overrides(runner, tmp_path):
