@@ -16,8 +16,8 @@ from .datagen import (HOPF_LENGTH, SOLVER_PARAMS, ParamPoint, SolverError, Traje
                       read_trajectory, solve_hopf_surrogate, solve_ks, split_even_odd,
                       write_json, write_trajectory)
 from .errors import NonFiniteError, RolloutDivergence, TrainingDiverged
-from .metrics import (crps, kinetic_energy, relative_mse, scaled_mse, write_csv,
-                      write_param_csv)
+from .metrics import (ZeroVarianceError, crps, kinetic_energy, relative_mse, scaled_mse,
+                      write_csv, write_param_csv)
 
 # Every failure a command reports instead of a traceback: the first entry
 # whose exception types match gives the exit code and the message prefix.
@@ -209,12 +209,17 @@ def cmd_train(config_path, data_dir, seed, out_dir):
 
 
 def _predict_for(ckpt_dir, data_file):
-    """(checkpoint, trajectory, rollout past its lookback, the states forecast)"""
+    """(checkpoint, trajectory, rollout past its lookback, the states forecast,
+    its relative MSE); a file whose forecast states have zero energy is refused"""
     from .training import ModelCheckpoint, forecast_trajectory
     ckpt = ModelCheckpoint.load(ckpt_dir)
     traj = read_trajectory(data_file)
     ckpt.check_fits(traj, data_file)
-    return ckpt, traj, *forecast_trajectory(ckpt, traj)
+    predicted, truth = forecast_trajectory(ckpt, traj)
+    try:
+        return ckpt, traj, predicted, truth, relative_mse(predicted, truth)
+    except ZeroVarianceError as exc:
+        raise ValueError(f"{data_file}: {exc}") from None
 
 
 @main.command("infer")
@@ -223,7 +228,7 @@ def _predict_for(ckpt_dir, data_file):
 @click.option("--out", "out_dir", type=click.Path(), default="runs/infer")
 def cmd_infer(ckpt_dir, data_file, out_dir):
     """Roll out at the trajectory's parameters; emit kinetic-energy CSV."""
-    _, traj, predicted, truth = _predict_for(ckpt_dir, data_file)
+    _, traj, predicted, truth, rel = _predict_for(ckpt_dir, data_file)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     k_pred = kinetic_energy(predicted)
@@ -232,7 +237,6 @@ def cmd_infer(ckpt_dir, data_file, out_dir):
     write_trajectory(out / "prediction.updr",
                      Trajectory(states=predicted, dt=traj.dt, length=traj.length,
                                 param=traj.param))
-    rel = relative_mse(predicted, truth)
     write_json(out / "metrics.json", {"relative_mse_percent": rel})
     click.echo(f"relative MSE {rel:.4f}% -> {out}")
 
@@ -248,16 +252,16 @@ def cmd_uq(ckpt_dir, data_file, ensemble_n, seed, out_dir):
     _check_seed(seed)
     from .uq import check_ensemble_size, second_pass, write_uq_csvs
     check_ensemble_size(ensemble_n)
-    ckpt, traj, predicted, truth = _predict_for(ckpt_dir, data_file)
+    ckpt, traj, predicted, truth, rel = _predict_for(ckpt_dir, data_file)
     nu, ensemble = second_pass(predicted, ckpt, traj.param, n=ensemble_n, seed=seed)
+    scores = {"relative_mse_percent": [rel],
+              "crps_printed": [crps(ensemble, truth, form="printed")],
+              "crps_abs": [crps(ensemble, truth, form="abs")],
+              "scaled_mse_mean": [scaled_mse(predicted, truth)[1]]}
     out = Path(out_dir)
     write_uq_csvs(out, nu)
     write_param_csv(out / "nu_xi.csv", [traj.param], nu_xi=[float(nu.mean())])
-    write_param_csv(out / "metrics.csv", [traj.param],
-                    relative_mse_percent=[relative_mse(predicted, truth)],
-                    crps_printed=[crps(ensemble, truth, form="printed")],
-                    crps_abs=[crps(ensemble, truth, form="abs")],
-                    scaled_mse_mean=[scaled_mse(predicted, truth)[1]])
+    write_param_csv(out / "metrics.csv", [traj.param], **scores)
     click.echo(f"UQ tables written to {out}")
 
 

@@ -16,30 +16,37 @@ from .metrics import time_blocks, write_csv
 from .training import ModelCheckpoint
 
 
-# (seed, dim) and the read-only (n, n_t, dim) array of the last ensemble_noise
-# call, swapped as one tuple; the adaptive loop redraws it at every grid point.
-_last_ensemble = ((None, None), np.empty((0, 0, 0)))
+# The member whose stream was read last: its (seed, member, dim), its
+# generator and the rows drawn from it so far, swapped as one tuple.
+_memo = (None, None, np.empty((0, 0)))
 
 
 def member_noise(seed: int, member: int, t: int, dim: int) -> np.ndarray:
-    """Reproducible per-(member, time) standard-normal stream. A row the last
-    ensemble holds for this seed and dim is copied from it, not drawn again."""
-    key, kept = _last_ensemble
-    if key == (seed, dim) and 0 <= member < kept.shape[0] and 0 <= t < kept.shape[1]:
-        return kept[member, t].copy()
-    ss = np.random.SeedSequence((seed, member, t))
-    return np.random.Generator(np.random.PCG64(ss)).standard_normal(dim)
+    """Row ``t`` of the member's standard-normal stream: the ``t``-th block of
+    ``dim`` values of ``Generator(PCG64(SeedSequence((seed, member))))``. The
+    last member read is kept with its rows, drawn in doubling chunks, so
+    reading a member's rows in order draws each once."""
+    global _memo
+    if member < 0 or t < 0:
+        raise ValueError(f"member and step must be >= 0, got {member} and {t}")
+    key, gen, rows = _memo
+    if key != (seed, member, dim):
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, member))))
+        rows = np.empty((0, dim))
+    if t >= len(rows):
+        rows = np.concatenate([rows, gen.standard_normal((max(t + 1 - len(rows), len(rows)), dim))])
+    _memo = ((seed, member, dim), gen, rows)
+    return rows[t].copy()
 
 
 def ensemble_noise(seed: int, n: int, n_t: int, dim: int) -> np.ndarray:
-    """Read-only (n, n_t, dim) member_noise rows, kept as the last ensemble."""
-    global _last_ensemble
+    """(n, n_t, dim) member_noise rows, read-only: a LazyEnsemble decodes
+    them again for every CRPS form."""
     noise = np.empty((n, n_t, dim))
     for i in range(n):
         for t in range(n_t):
             noise[i, t] = member_noise(seed, i, t, dim)
     noise.flags.writeable = False
-    _last_ensemble = ((seed, dim), noise)
     return noise
 
 

@@ -264,6 +264,9 @@ NOT_FITTED_DATA = {
 }
 
 
+# the flow's first file with every state set to 0
+ZERO_ENERGY = "errors/zero_energy/hopf_mu0.2.updr"
+
 # directory: (its config, the sweep) for each data set make_error_inputs generates
 KS = config("ks", {**HOPF, "datagen": {"case": "ks", "n_x": 16, "n_t": 20},
                    "adaptive": {"budget": 1, "grid": [{"nu": 1.0}, {"nu": 1.1}]}})
@@ -489,6 +492,11 @@ def _table() -> list:
                 _reads(traj=bad, cfg=cfg)[command], 5,
                 f"{bad}: {(adapt_message or message) if command == 'adapt' else message}")
 
+    # relative MSE divides by the truth's energy; it is computed before --out is created
+    for command in ("infer", "uq"):
+        add(f"zero_energy_truth_exit_5_before_out/{command}", _reads(traj=ZERO_ENERGY)[command],
+            5, f"{ZERO_ENERGY}: truth has zero energy")
+
     # ---------------------------------------------------- data too short
     # the even-index split of a file at n_t holds (n_t + 1) // 2 snapshots
     for param, cfg, data, message in (
@@ -586,6 +594,8 @@ def make_error_inputs(romuq, work: Path):
     for field, (change, *_) in NOT_FITTED_DATA.items():
         (err / f"not_fitted_{field}").mkdir()
         write_trajectory(err / f"not_fitted_{field}/b.updr", replace(first, **change(first)))
+    (work / ZERO_ENERGY).parent.mkdir()
+    write_trajectory(work / ZERO_ENERGY, replace(first, states=np.zeros_like(first.states)))
 
     manifest = json.loads((work / CKPT / "manifest.json").read_text())
     weights = (work / CKPT / "weights.bin").read_bytes()

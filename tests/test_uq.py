@@ -56,9 +56,10 @@ def test_ensemble_noise_matches_member_streams():
 
 
 def reference_row(seed, member, t, dim):
-    """The documented (seed, member, t) stream, built without member_noise."""
-    ss = np.random.SeedSequence((seed, member, t))
-    return np.random.Generator(np.random.PCG64(ss)).standard_normal(dim)
+    """Row t of the documented (seed, member) stream, built without
+    member_noise and drawn in one call."""
+    ss = np.random.SeedSequence((seed, member))
+    return np.random.Generator(np.random.PCG64(ss)).standard_normal((t + 1) * dim)[t * dim:]
 
 
 def reference_noise(seed, n, n_t, dim):
@@ -68,7 +69,7 @@ def reference_noise(seed, n, n_t, dim):
 
 def test_ensemble_noise_reuse_is_bit_identical_across_call_sequences():
     # grow n, grow n_t, shrink both, switch seed, switch dim, then go back:
-    # rows come from the kept ensemble or fresh streams, values never differ
+    # rows come from the memo or fresh streams, values never differ
     calls = [(3, 2, 4, 2), (3, 5, 4, 2), (3, 5, 7, 2), (3, 2, 3, 2),
              (4, 5, 7, 2), (3, 5, 7, 3), (3, 5, 7, 2), (3, 0, 7, 2),
              (3, 5, 7, 2)]
@@ -76,11 +77,30 @@ def test_ensemble_noise_reuse_is_bit_identical_across_call_sequences():
         noise = ensemble_noise(seed, n, n_t, dim)
         assert noise.shape == (n, n_t, dim)
         assert noise.tobytes() == reference_noise(seed, n, n_t, dim).tobytes()
-        # rows inside and just outside the kept ensemble
+        # rows inside and just outside the last ensemble
         for i, t in ((0, 0), (n - 1, n_t - 1), (n, 0), (0, n_t)):
             if i >= 0:
                 assert (member_noise(seed, i, t, dim).tobytes()
                         == reference_row(seed, i, t, dim).tobytes())
+
+
+def test_ensemble_noise_seeds_one_stream_per_member(monkeypatch):
+    built = []
+    seed_sequence = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence",
+                        lambda entropy: built.append(entropy) or seed_sequence(entropy))
+    noise = ensemble_noise(21, 5, 40, 3)
+    assert built == [(21, i) for i in range(5)]
+    assert noise.tobytes() == reference_noise(21, 5, 40, 3).tobytes()
+
+
+def test_member_rows_do_not_depend_on_the_read_order():
+    in_order = ensemble_noise(22, 2, 37, 3)
+    # the memo holds member 1, so member 0's stream starts again at its last row
+    backwards = [member_noise(22, 0, t, 3) for t in reversed(range(37))][::-1]
+    assert np.array(backwards).tobytes() == in_order[0].tobytes()
+    interleaved = np.array([[member_noise(22, i, t, 3) for i in (0, 1)] for t in range(37)])
+    assert interleaved.transpose(1, 0, 2).tobytes() == in_order.tobytes()
 
 
 def test_ensemble_noise_is_read_only_and_rows_are_fresh_copies():
@@ -93,11 +113,10 @@ def test_ensemble_noise_is_read_only_and_rows_are_fresh_copies():
 
 
 def test_member_noise_rejects_negative_indices_after_a_kept_draw():
-    ensemble_noise(6, 3, 3, 2)
-    with pytest.raises(ValueError):
-        member_noise(6, -1, 0, 2)
-    with pytest.raises(ValueError):
-        member_noise(6, 0, -1, 2)
+    ensemble_noise(6, 3, 3, 2)  # the memo holds member 2's rows
+    for member, t in ((-1, 0), (0, -1), (2, -1)):
+        with pytest.raises(ValueError, match="member and step must be >= 0"):
+            member_noise(6, member, t, 2)
 
 
 # ---------------------------------------------------------------- second_pass
@@ -254,11 +273,11 @@ def test_later_noise_draws_leave_an_earlier_ensemble_unchanged():
 def test_second_pass_and_crps_hold_the_noise_plus_a_bounded_block():
     # 16 members x 1,024 steps: the decoded ensemble is 2 MB, and one decode
     # of all 16,384 rows makes 8 MB hidden temporaries, 32x those of a
-    # 512-row block; neither is ever held
+    # 512-row block; neither is ever held. The noise (256 kB) is drawn inside
+    # the trace, one member's stream at a time
     n, n_t = 16, 1024
     ckpt = make_checkpoint(seed=13, state_dim=16, hidden=(64,))
     states = np.random.default_rng(14).standard_normal((n_t, 16))
-    ensemble_noise(0, n, n_t, 2)  # drawn untraced; second_pass copies its rows
     tracemalloc.start()
     try:
         _, ensemble = second_pass(states, ckpt, XI, n=n, seed=0)
