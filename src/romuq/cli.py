@@ -23,7 +23,7 @@ from .metrics import (ZeroVarianceError, crps, kinetic_energy, relative_mse, sca
 # whose exception types match gives the exit code and the message prefix.
 # ConfigError subclasses ValueError, so it must come before it.
 EXIT_CODES = (
-    (FileNotFoundError, 2, ""),
+    ((FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError), 2, ""),
     (ConfigError, 3, "invalid config: "),
     ((SolverError, TrainingDiverged, RolloutDivergence, NonFiniteError), 4, ""),
     (ValueError, 5, ""),
@@ -64,10 +64,13 @@ def _load_config(path, seed) -> RunConfig:
 
 def _parse_sweep(sweep: str):
     name, _, rest = sweep.partition("=")
-    values = [v for v in rest.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in rest.split(",") if v.strip()]
+    except ValueError:
+        values = []
     if not name.strip() or not values:
         raise ValueError(f"sweep must look like name=v1,v2,... got {sweep!r}")
-    return name.strip(), [float(v) for v in values]
+    return name.strip(), values
 
 
 def _generate_one(config: RunConfig, params: dict) -> Trajectory:

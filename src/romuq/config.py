@@ -128,6 +128,8 @@ class TransformerConfig:
     def __post_init__(self):
         if self.heads < 1 or self.width % self.heads != 0:
             raise ConfigError("width must be divisible by heads")
+        if self.width % 2:  # the position encoding pairs a sine and a cosine
+            raise ConfigError(f"width must be even, got {self.width}")
         if min(self.lookback, self.horizon, self.blocks) < 1:
             raise ConfigError("lookback, horizon and blocks must be >= 1")
 

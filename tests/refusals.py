@@ -4,12 +4,12 @@ table.
 
 A ``Refusal`` holds a command line whose paths are relative to one work
 directory, the exit code, a fragment of the message and whether ``--out``
-may exist afterwards. ``make_error_inputs(romuq, work)`` builds every input
-the table reads under ``work/errors``, on top of the Hopf flow's
-``generate`` and ``train`` outputs in ``work/hopf``; ``romuq(argv)`` runs one
-command in ``work`` and returns its exit code and output. tests/test_cli.py
-runs every case in-process, and tools/flow_digest.py runs each as its own
-process.
+may exist afterwards. ``make_error_inputs(work)`` builds every input the
+table reads under ``work/errors``, on top of the Hopf flow's ``generate``
+and ``train`` outputs in ``work/hopf``. ``run_cli(argv)`` runs one command
+in this process, in the current directory, and returns its exit code and
+stderr; tests/test_cli.py and tools/flow_digest.py run every case through
+it, each in its own work directory.
 
 A case's id names the test of tests/test_cli.py that runs it:
 ``name[param]/detail`` runs in ``test_name[param]`` and ``name/detail`` in
@@ -23,12 +23,15 @@ import json
 import math
 import shlex
 import struct
+import traceback
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 
+from romuq.cli import main
 from romuq.datagen import ParamPoint, read_trajectory, write_trajectory
 from romuq.training import ModelCheckpoint
 
@@ -67,6 +70,17 @@ def flow_commands(case: str) -> list:
          "--out", f"{case}/adapt"],
         ["report", "--out", case],
     ]
+
+
+def run_cli(argv: list) -> tuple:
+    """(exit code, stderr) of ``romuq argv`` run in this process. An exception
+    ``EXIT_CODES`` does not map exits 1 and appends its traceback to stderr,
+    as a ``romuq`` process prints it."""
+    res = CliRunner().invoke(main, argv)
+    stderr = res.stderr
+    if res.exception is not None and not isinstance(res.exception, SystemExit):
+        stderr += "".join(traceback.format_exception(*res.exc_info))
+    return res.exit_code, stderr
 
 
 HOPF = FLOWS["hopf"]["config"]
@@ -216,6 +230,8 @@ BAD_MANIFESTS = {
                         "got 'x'"),
     "nan_kld_weight": (lambda m, w: (_config(m, "loss", kld_weight=float("nan")), w),
                        "config in {m} is invalid: [loss] kld_weight must be finite, got nan"),
+    "odd_width": (lambda m, w: (_config(m, "transformer", width=7, heads=7), w),
+                  "config in {m} is invalid: width must be even, got 7"),
     **{f"{key}_{label}": (lambda m, w, key=key, value=value: ({**m, key: value}, w),
                           f"{key} in {{m}} is not a list of "
                           + ("objects" if key == "lineage" else "finite numbers"))
@@ -284,7 +300,7 @@ def _table() -> list:
         cases.append(Refusal(id, args, code, message, out_may_exist))
 
     # ------------------------------------------------------------ generate
-    for detail, sweep in (("mu", "mu"), ("mu=", "mu="), ("empty", "")):
+    for detail, sweep in (("mu", "mu"), ("mu=", "mu="), ("empty", ""), ("not_a_number", "mu=abc")):
         add(f"generate_rejects_malformed_sweep/{detail}",
             f"generate --config {CFG} --sweep {shlex.quote(sweep)}", 5,
             f"sweep must look like name=v1,v2,... got {sweep!r}")
@@ -398,6 +414,10 @@ def _table() -> list:
         add(f"train_bad_config_value_exit_code[{section}-{key}-{value}]",
             f"train --config {cfg} --data {DATA}", 3,
             f"invalid config: {message.format(cfg=cfg)}")
+    # the position encoding pairs a sine and a cosine; 7 is divisible by 7 heads
+    cfg = config("transformer_width7", hopf(transformer={"width": 7, "heads": 7}))
+    add("train_odd_transformer_width_exit_3", f"train --config {cfg} --data {DATA}", 3,
+        f"invalid config: {cfg}: width must be even, got 7")
     # neither the checkpoint nor the data exists: the override is refused by
     # the config's own check before either is read, as in a config file
     for option, value, message in (
@@ -432,6 +452,17 @@ def _table() -> list:
         "no trajectory artifacts under missing/runs")
     add("report_exit_codes/empty", "report --out errors/empty", 2,
         "no trajectory artifacts under errors/empty", out_may_exist=True)
+    # a directory where a file is read, a file where a directory is
+    for detail, args, message in (
+            ("config_directory", "generate --config errors/empty --sweep mu=0.3",
+             "Is a directory: 'errors/empty'"),
+            ("infer_data_directory", _reads(traj=DATA)["infer"], f"Is a directory: '{DATA}'"),
+            ("uq_data_directory", _reads(traj=DATA)["uq"], f"Is a directory: '{DATA}'"),
+            ("checkpoint_file", _reads(ckpt=TRAJ)["infer"],
+             f"Not a directory: '{TRAJ}/manifest.json'"),
+            ("out_below_a_file", f"generate --config {CFG} --sweep mu=0.3 --out {CFG}/sub",
+             f"Not a directory: '{CFG}/sub'")):
+        add(f"path_of_the_wrong_kind_exit_2/{detail}", args, 2, message)
 
     # ------------------------------------------------- config against data
     for field, (_, message) in DISAGREEMENTS.items():
@@ -565,14 +596,14 @@ def _table() -> list:
 REFUSALS = _table()
 
 
-def make_error_inputs(romuq, work: Path):
+def make_error_inputs(work: Path):
     """Write every input ``REFUSALS`` reads under ``work/errors``, from the
-    Hopf flow's data and checkpoint in ``work/hopf``; ``romuq(argv)`` runs a
-    command in ``work`` and returns its exit code and output."""
+    Hopf flow's data and checkpoint in ``work/hopf``; ``work`` is the
+    current directory."""
     def run(*argv):
-        code, output = romuq(list(argv))
+        code, stderr = run_cli(list(argv))
         if code != 0:
-            raise RuntimeError(f"romuq {' '.join(argv)} exited {code}:\n{output}")
+            raise RuntimeError(f"romuq {' '.join(argv)} exited {code}:\n{stderr}")
 
     err = work / "errors"
     (err / "empty").mkdir(parents=True)

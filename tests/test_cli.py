@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import romuq
-from refusals import CFG, HOPF, REFUSALS, flow_commands, make_error_inputs
+from refusals import CFG, HOPF, REFUSALS, flow_commands, make_error_inputs, run_cli
 from romuq.adaptive import evaluate_grid
 from romuq.cli import _check_datagen, _generate_one, main
 from romuq.config import ConfigError, DatagenSection, RunConfig, TrainingSection
@@ -408,27 +408,27 @@ print(sorted(m for m in ("scipy", "romuq.tensor", "romuq.training", "romuq.uq",
 """
 
 
+def fresh_interpreter(*args, cwd=None):
+    """``python args`` run in a fresh interpreter that imports this romuq."""
+    path = os.pathsep.join(filter(None, [str(Path(romuq.__file__).resolve().parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_generate_and_report_leave_the_model_stack_unloaded(tmp_path):
     """In a fresh interpreter, the commands that run no model import neither
     the model stack nor scipy."""
     cfg = tmp_path / "config.json"
     write_config(cfg)
-    path = os.pathsep.join(filter(None, [str(Path(romuq.__file__).resolve().parents[1]),
-                                         os.environ.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-c", GENERATE_AND_REPORT, str(cfg),
-                          str(tmp_path / "data")], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, timeout=120)
+    res = fresh_interpreter("-c", GENERATE_AND_REPORT, str(cfg), str(tmp_path / "data"))
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "data/ke_hopf_mu0.3.csv").exists()
     assert res.stdout.splitlines()[-1] == "[]"
 
 
 # ------------------------------------------------------------------- refusals
-
-
-def invoke(argv):
-    res = CliRunner().invoke(main, argv)
-    return res.exit_code, res.output
 
 
 @pytest.fixture(scope="module")
@@ -441,9 +441,9 @@ def refusal_work(tmp_path_factory):
         (work / "hopf").mkdir()
         (work / CFG).write_text(json.dumps(HOPF))
         for argv in flow_commands("hopf")[:2]:  # generate, train
-            code, output = invoke(argv)
-            assert code == 0, output
-        make_error_inputs(invoke, work)
+            code, stderr = run_cli(argv)
+            assert code == 0, stderr
+        make_error_inputs(work)
     return work
 
 
@@ -451,9 +451,9 @@ def check_refusals(cases, work, monkeypatch):
     monkeypatch.chdir(work)
     failures = []
     for case in cases:
-        code, output = invoke(case.argv)
-        failures += [f"{case.id}: {difference}\n{output}"
-                     for difference in case.differences(code, output, Path(case.out).exists())]
+        code, stderr = run_cli(case.argv)
+        failures += [f"{case.id}: {difference}\n{stderr}"
+                     for difference in case.differences(code, stderr, Path(case.out).exists())]
     assert not failures, "\n".join(failures)
 
 
@@ -482,6 +482,19 @@ def refusal_tests() -> dict:
 
 
 globals().update(refusal_tests())
+
+
+def test_a_romuq_process_exits_and_prints_what_run_cli_returns(refusal_work, monkeypatch):
+    """The first case of each exit code, run as its own ``python -m
+    romuq.cli`` process, gives the exit code and stderr ``run_cli`` gives."""
+    monkeypatch.chdir(refusal_work)
+    first = {}
+    for case in REFUSALS:
+        first.setdefault(case.code, case)
+    assert sorted(first) == [2, 3, 4, 5]
+    for case in first.values():
+        res = fresh_interpreter("-m", "romuq.cli", *case.argv, cwd=refusal_work)
+        assert (res.returncode, res.stderr) == run_cli(case.argv), case.id
 
 
 def test_the_readme_lists_the_exit_codes_of_the_refusal_table():

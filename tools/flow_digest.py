@@ -2,13 +2,14 @@
 refusal of the refusal table.
 
 Runs the fixed small Hopf and KS flows of tests/refusals.py,
-generate -> train -> infer -> uq -> adapt -> report, each command as its
-own ``python -m romuq.cli`` process on the package in this checkout's
-``src/``. Every command runs in one temporary directory (``mkdtemp``,
-fixed-length name) with relative paths, so no output depends on where the
-checkout or the temporary directory lives. Then it builds the inputs of the
-refusal table in tests/refusals.py on the Hopf flow's outputs and runs each
-of its cases as its own process too.
+generate -> train -> infer -> uq -> adapt -> report, on the package in this
+checkout's ``src/``. Every command runs in one temporary directory
+(``mkdtemp``, fixed-length name) with relative paths, so no output depends
+on where the checkout or the temporary directory lives. Then it builds the
+inputs of the refusal table in tests/refusals.py on the Hopf flow's outputs
+and runs each of its cases. Every command runs in this process through
+``run_cli`` of tests/refusals.py, the runner of tests/test_cli.py, which
+returns the exit code and stderr a ``romuq`` process would.
 
 It prints ``sha256  relative/path`` for every file the flows wrote, then
 each case's command, exit code, stderr and whether it created its
@@ -22,8 +23,7 @@ runs shows every changed output:
 
 It exits 1 when a flow command fails, or when a case's exit code, message
 or ``--out`` differs from what the table holds. The whole run takes about
-100 s (2-core x86 machine, one BLAS thread), most of it in the
-refusal cases, each of which starts an interpreter.
+2 s (2-core x86 machine, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import json
 import os
 import shlex
 import shutil
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -42,35 +41,29 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path[:0] = [str(SRC), str(ROOT / "tests")]
 
-from refusals import FLOWS, REFUSALS, flow_commands, make_error_inputs  # noqa: E402
-
-
-def romuq(work: Path, args: list) -> tuple:
-    """(exit code, stderr) of ``romuq args`` run in ``work``."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-m", "romuq.cli", *args], cwd=work, env=env,
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stderr
+from refusals import FLOWS, REFUSALS, flow_commands, make_error_inputs, run_cli  # noqa: E402
 
 
 def main() -> int:
+    cwd = os.getcwd()
     work = Path(tempfile.mkdtemp(prefix="flow_digest_"))
     try:
+        os.chdir(work)
         for case, flow in FLOWS.items():
             (work / case).mkdir()
             (work / case / "config.json").write_text(json.dumps(flow["config"]))
             for args in flow_commands(case):
-                code, stderr = romuq(work, args)
+                code, stderr = run_cli(args)
                 if code != 0:
                     print(f"romuq {' '.join(args)} exited {code}:\n{stderr}")
                     return 1
         for path in sorted(p for case in FLOWS for p in (work / case).rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(work).as_posix()}")
-        make_error_inputs(lambda args: romuq(work, args), work)
+        make_error_inputs(work)
         failed = False
         for case in REFUSALS:
-            code, stderr = romuq(work, case.argv)
+            code, stderr = run_cli(case.argv)
             created = (work / case.out).exists()
             print(f"# refusal {case.id}: romuq {shlex.join(case.argv)}")
             print(f"exit {code}; --out created: {'yes' if created else 'no'}")
@@ -80,6 +73,7 @@ def main() -> int:
                 failed = True
         return 1 if failed else 0
     finally:
+        os.chdir(cwd)
         shutil.rmtree(work, ignore_errors=True)
 
 
