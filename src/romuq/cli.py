@@ -11,7 +11,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .config import ConfigError, RunConfig, write_resolved
+from .config import ConfigError, RunConfig, _has_type, write_resolved
 from .datagen import (HOPF_LENGTH, SOLVER_PARAMS, ParamPoint, SolverError, Trajectory,
                       read_trajectory, solve_hopf_surrogate, solve_ks, split_even_odd,
                       write_json, write_trajectory)
@@ -133,6 +133,10 @@ def _grid(config: RunConfig) -> list:
     if len(config.adaptive.grid) < 2:
         raise ConfigError(f"adaptive.grid needs at least two points, "
                           f"got {len(config.adaptive.grid)}")
+    for g in config.adaptive.grid:
+        for key, value in g.items() if isinstance(g, dict) else ():
+            if not _has_type(value, float):  # as parse checks every float field
+                raise ConfigError(f"adaptive.grid point {g} has {key} {value!r}, not a number")
     try:
         grid = [ParamPoint.of(**g) for g in config.adaptive.grid]
     except (TypeError, ValueError) as exc:
@@ -329,10 +333,10 @@ def cmd_report(out_dir):
     files = sorted(out.rglob("*.updr"))
     if not files:
         raise FileNotFoundError(f"no trajectory artifacts under {out}")
-    for path in files:
-        traj = read_trajectory(path)
-        write_csv(path.parent / f"ke_{path.stem}.csv", ("t", "kinetic_energy"),
-                  enumerate(kinetic_energy(traj.states)))
+    # every file is read before a table is written, so a bad one writes none
+    energies = {path: kinetic_energy(read_trajectory(path).states) for path in files}
+    for path, energy in energies.items():
+        write_csv(path.parent / f"ke_{path.stem}.csv", ("t", "kinetic_energy"), enumerate(energy))
     click.echo(f"wrote kinetic-energy tables for {len(files)} trajectories")
 
 

@@ -126,12 +126,12 @@ class TransformerConfig:
     ff_mult: int = 2
 
     def __post_init__(self):
+        if min(self.lookback, self.horizon, self.blocks, self.width, self.ff_mult) < 1:
+            raise ConfigError("lookback, horizon, blocks, width and ff_mult must be >= 1")
         if self.heads < 1 or self.width % self.heads != 0:
             raise ConfigError("width must be divisible by heads")
         if self.width % 2:  # the position encoding pairs a sine and a cosine
             raise ConfigError(f"width must be even, got {self.width}")
-        if min(self.lookback, self.horizon, self.blocks) < 1:
-            raise ConfigError("lookback, horizon and blocks must be >= 1")
 
 
 @dataclass

@@ -4,12 +4,14 @@ table.
 
 A ``Refusal`` holds a command line whose paths are relative to one work
 directory, the exit code, a fragment of the message and whether ``--out``
-may exist afterwards. ``make_error_inputs(work)`` builds every input the
-table reads under ``work/errors``, on top of the Hopf flow's ``generate``
-and ``train`` outputs in ``work/hopf``. ``run_cli(argv)`` runs one command
-in this process, in the current directory, and returns its exit code and
-stderr; tests/test_cli.py and tools/flow_digest.py run every case through
-it, each in its own work directory.
+may exist afterwards. ``run_flows(work)`` runs both flows in ``work``, and
+``make_error_inputs(work)`` then builds every input the table reads under
+``work/errors``, on top of the Hopf flow's outputs in ``work/hopf``.
+``run_cli(argv)`` runs one command in this process, in the current
+directory, and returns its exit code and stderr. tests/test_cli.py and
+tools/flow_digest.py build their work directories with these two and run
+every command through ``run_cli``, so the tests assert on the outputs the
+digest hashes.
 
 A case's id names the test of tests/test_cli.py that runs it:
 ``name[param]/detail`` runs in ``test_name[param]`` and ``name/detail`` in
@@ -81,6 +83,23 @@ def run_cli(argv: list) -> tuple:
     if res.exception is not None and not isinstance(res.exception, SystemExit):
         stderr += "".join(traceback.format_exception(*res.exc_info))
     return res.exit_code, stderr
+
+
+def run_ok(*argv):
+    """Run ``romuq argv`` through ``run_cli``; a nonzero exit raises RuntimeError."""
+    code, stderr = run_cli(list(argv))
+    if code != 0:
+        raise RuntimeError(f"romuq {' '.join(argv)} exited {code}:\n{stderr}")
+
+
+def run_flows(work: Path):
+    """Write each flow's ``<case>/config.json`` under ``work``, the current
+    directory, and run its ``flow_commands``."""
+    for case, flow in FLOWS.items():
+        (work / case).mkdir()
+        (work / case / "config.json").write_text(json.dumps(flow["config"]))
+        for argv in flow_commands(case):
+            run_ok(*argv)
 
 
 HOPF = FLOWS["hopf"]["config"]
@@ -232,6 +251,9 @@ BAD_MANIFESTS = {
                        "config in {m} is invalid: [loss] kld_weight must be finite, got nan"),
     "odd_width": (lambda m, w: (_config(m, "transformer", width=7, heads=7), w),
                   "config in {m} is invalid: width must be even, got 7"),
+    **{f"{key}0": (lambda m, w, key=key: (_config(m, "transformer", **{key: 0}), w),
+                   "config in {m} is invalid: lookback, horizon, blocks, width and ff_mult "
+                   "must be >= 1") for key in ("width", "ff_mult")},
     **{f"{key}_{label}": (lambda m, w, key=key, value=value: ({**m, key: value}, w),
                           f"{key} in {{m}} is not a list of "
                           + ("objects" if key == "lineage" else "finite numbers"))
@@ -409,7 +431,10 @@ def _table() -> list:
             # the data's state dim is 16
             ("vae", "latent_dim", 16, "latent_dim must be smaller than state_dim"),
             ("vae", "hidden", 64, "{cfg}: [vae] hidden must be of type Sequence[int], got 64"),
-            ("training", "batch_size", 0, "{cfg}: epochs and batch_size must be >= 1")):
+            ("training", "batch_size", 0, "{cfg}: epochs and batch_size must be >= 1"),
+            *(("transformer", key, value,
+               "{cfg}: lookback, horizon, blocks, width and ff_mult must be >= 1")
+              for key, value in (("width", 0), ("width", -4), ("ff_mult", 0), ("ff_mult", -1)))):
         cfg = config(f"{section}_{key}{value}", hopf(**{section: {key: value}}))
         add(f"train_bad_config_value_exit_code[{section}-{key}-{value}]",
             f"train --config {cfg} --data {DATA}", 3,
@@ -440,6 +465,14 @@ def _table() -> list:
         f"adapt --config {KS} --checkpoint errors/ks_train/checkpoint --data errors/ks", 3,
         "invalid config: adaptive.grid point {'nu': 1.0} does not name the ks solver's "
         "parameters ['ks_nu']")
+    # a grid value must be a number, as every float field of a config must
+    for detail, value in (("bool", True), ("text", "0.3"), ("null", None)):
+        point = {"mu": value, "omega": 1.0}
+        cfg = config(f"grid_{detail}",
+                     hopf(adaptive={"grid": [point, {"mu": 0.4, "omega": 1.0}]}))
+        add(f"adapt_grid_value_not_a_number_exit_3/{detail}",
+            f"adapt --config {cfg} --checkpoint {CKPT} --data {DATA}", 3,
+            f"invalid config: adaptive.grid point {point} has mu {value!r}, not a number")
 
     # ------------------------------------------------------ missing inputs
     add("train_missing_data_exit_code/empty", "train --data errors/empty", 2,
@@ -600,18 +633,13 @@ def make_error_inputs(work: Path):
     """Write every input ``REFUSALS`` reads under ``work/errors``, from the
     Hopf flow's data and checkpoint in ``work/hopf``; ``work`` is the
     current directory."""
-    def run(*argv):
-        code, stderr = run_cli(list(argv))
-        if code != 0:
-            raise RuntimeError(f"romuq {' '.join(argv)} exited {code}:\n{stderr}")
-
     err = work / "errors"
     (err / "empty").mkdir(parents=True)
     for path, text in CONFIGS.items():
         (work / path).write_text(text)
     for data, (cfg, sweep) in GENERATED.items():
-        run("generate", "--config", cfg, "--sweep", sweep, "--out", data)
-    run("train", "--config", KS, "--data", "errors/ks", "--out", "errors/ks_train")
+        run_ok("generate", "--config", cfg, "--sweep", sweep, "--out", data)
+    run_ok("train", "--config", KS, "--data", "errors/ks", "--out", "errors/ks_train")
 
     good = (work / TRAJ).read_bytes()
     for name, (edit, _) in {**MALFORMED_UPDR, **BAD_HEADER_UPDR}.items():

@@ -7,9 +7,11 @@ checkout's ``src/``. Every command runs in one temporary directory
 (``mkdtemp``, fixed-length name) with relative paths, so no output depends
 on where the checkout or the temporary directory lives. Then it builds the
 inputs of the refusal table in tests/refusals.py on the Hopf flow's outputs
-and runs each of its cases. Every command runs in this process through
-``run_cli`` of tests/refusals.py, the runner of tests/test_cli.py, which
-returns the exit code and stderr a ``romuq`` process would.
+and runs each of its cases. The flows and the inputs are built by
+``run_flows`` and ``make_error_inputs`` of tests/refusals.py, in the order
+the fixture of tests/test_cli.py builds them, so the tests assert on the
+files this digest hashes. Every command runs in this process through
+``run_cli``, which returns the exit code and stderr a ``romuq`` process would.
 
 It prints ``sha256  relative/path`` for every file the flows wrote, then
 each case's command, exit code, stderr and whether it created its
@@ -29,7 +31,6 @@ or ``--out`` differs from what the table holds. The whole run takes about
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import shlex
 import shutil
@@ -41,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path[:0] = [str(SRC), str(ROOT / "tests")]
 
-from refusals import FLOWS, REFUSALS, flow_commands, make_error_inputs, run_cli  # noqa: E402
+from refusals import FLOWS, REFUSALS, make_error_inputs, run_cli, run_flows  # noqa: E402
 
 
 def main() -> int:
@@ -49,14 +50,11 @@ def main() -> int:
     work = Path(tempfile.mkdtemp(prefix="flow_digest_"))
     try:
         os.chdir(work)
-        for case, flow in FLOWS.items():
-            (work / case).mkdir()
-            (work / case / "config.json").write_text(json.dumps(flow["config"]))
-            for args in flow_commands(case):
-                code, stderr = run_cli(args)
-                if code != 0:
-                    print(f"romuq {' '.join(args)} exited {code}:\n{stderr}")
-                    return 1
+        try:
+            run_flows(work)
+        except RuntimeError as exc:
+            print(exc)
+            return 1
         for path in sorted(p for case in FLOWS for p in (work / case).rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(work).as_posix()}")
