@@ -73,7 +73,7 @@ def run_loop(ckpt: ModelCheckpoint, generator: Callable[[ParamPoint], Trajectory
     untrained points falls below ``threshold`` or after ``budget`` iterations.
     """
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise ValueError(f"budget must be >= 1, got {budget}")
     check_ensemble_size(ensemble_n)
     grid = list(grid)
     if len(grid) < 2:  # the uncertainty-error correlation needs two points

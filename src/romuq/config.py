@@ -51,7 +51,7 @@ def parse(cls, d, where: str, derived: bool = False):
     bad = set(d) - settable
     if bad:
         raise ConfigError(f"unknown or data-derived keys in [{where}]: {sorted(bad)}")
-    types = get_type_hints(cls)
+    types, bounded = get_type_hints(cls), {f.name for f in fields(cls) if "bound" in f.metadata}
     for k, v in d.items():
         tp = types[k]
         if is_dataclass(tp):
@@ -60,9 +60,10 @@ def parse(cls, d, where: str, derived: bool = False):
             name = tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
             raise ConfigError(f"[{where}] {k} must be of type {name}, got {v!r}")
         try:  # strict JSON holds no NaN or infinity, at any depth
-            json.dumps(v, allow_nan=False)
+            if k not in bounded:  # cls refuses a bounded value itself
+                json.dumps(v, allow_nan=False)
         except ValueError:
-            raise ConfigError(f"[{where}] {k} must be finite, got {v!r}") from None
+            raise ConfigError(f"{cls.prefix}{k} must be finite, got {v!r}") from None
     return cls(**{k: parse(types[k], v, k, derived) if is_dataclass(types[k]) else v
                   for k, v in d.items()})
 
@@ -72,104 +73,114 @@ def _settable(obj) -> dict:
             for f in fields(obj) if not f.metadata.get("derived")}
 
 
+def _bound(default, lo, hi=math.inf, strict=False, derived=False):
+    """A number field, or a sequence of them, that must be finite and in
+    ``[lo, hi]`` (above ``lo`` when ``strict``); ``lo`` -inf is finite only."""
+    return field(default=default, metadata={"bound": (lo, hi, strict), "derived": derived})
+
+
+def _must(lo, hi, strict) -> str:
+    """What a ``_bound`` field must be: ``finite and >= 2``, say."""
+    if hi < math.inf:
+        return f"finite and in {'(' if strict else '['}{lo}, {hi}]"
+    return "finite" if lo == -math.inf else f"finite and {'>' if strict else '>='} {lo}"
+
+
+class _Section:
+    """The base of every config section dataclass: ``__post_init__``
+    refuses a ``_bound`` value that is not finite or out of its range,
+    naming it ``<section>.<key>``."""
+
+    prefix = ""  # of a key in messages; ``class VaeConfig(_Section, prefix="vae.")``
+
+    def __init_subclass__(cls, prefix=None):
+        cls.prefix = cls.prefix if prefix is None else prefix
+
+    def __post_init__(self):
+        for f in fields(self):
+            if "bound" in f.metadata:
+                lo, hi, strict = bound = f.metadata["bound"]
+                value = getattr(self, f.name)
+                for v in value if isinstance(value, (list, tuple)) else (value,):
+                    if not (math.isfinite(v) and (v > lo if strict else v >= lo) and v <= hi):
+                        raise ConfigError(f"{self.prefix}{f.name} must be {_must(*bound)}, got {v}")
+
+
 @dataclass
-class DatagenSection:
+class DatagenSection(_Section, prefix="datagen."):
     case: str = "ks"
-    n_x: int = 64
-    dt: float = 0.05
-    n_t: int = 1000
-    domain_length: float = 22.0
-    omega: float = 1.0
-    init_amplitude: float = 0.1
-    init_scale: float = 0.1
+    n_x: int = _bound(64, 2)
+    dt: float = _bound(0.05, 0, strict=True)
+    n_t: int = _bound(1000, 2)
+    domain_length: float = _bound(22.0, 0, strict=True)
+    omega: float = _bound(1.0, -math.inf)
+    init_amplitude: float = _bound(0.1, 0, strict=True)
+    init_scale: float = _bound(0.1, -math.inf)
 
     def __post_init__(self):
         if self.case not in SOLVER_PARAMS:
             raise ConfigError(f"unknown case {self.case!r}; expected one of "
                               f"{list(SOLVER_PARAMS)}")
-        for key, value in (("dt", self.dt), ("domain_length", self.domain_length),
-                           ("init_amplitude", self.init_amplitude)):
-            if not 0 < value < math.inf:
-                raise ConfigError(f"datagen.{key} must be finite and positive, got {value}")
-        for key, value in (("n_x", self.n_x), ("n_t", self.n_t)):
-            if value < 2:
-                raise ConfigError(f"datagen.{key} must be >= 2, got {value}")
+        super().__post_init__()
         if self.case == "ks" and self.n_x & (self.n_x - 1):
             raise ConfigError(f"datagen.n_x must be a power of two for case 'ks', got {self.n_x}")
 
 
 @dataclass
-class VaeConfig:
+class VaeConfig(_Section, prefix="vae."):
     state_dim: Optional[int] = _derived(None)
-    latent_dim: int = 8
-    hidden: Sequence[int] = (64,)
-    param_dim: int = _derived(1)
-    embed_dim: int = 8
+    latent_dim: int = _bound(8, 1)
+    hidden: Sequence[int] = _bound((64,), 1)
+    param_dim: int = _bound(1, 1, derived=True)
+    embed_dim: int = _bound(8, 1)
 
     def __post_init__(self):
+        super().__post_init__()
         self.hidden = tuple(int(h) for h in self.hidden)
-        if min(self.latent_dim, self.param_dim, self.embed_dim, *self.hidden) <= 0:
-            raise ConfigError("all dimensions must be positive")
         if self.state_dim is not None and self.latent_dim >= self.state_dim:
-            raise ConfigError("latent_dim must be smaller than state_dim")
+            raise ConfigError(f"vae.latent_dim must be smaller than state_dim "
+                              f"{self.state_dim}, got {self.latent_dim}")
 
 
 @dataclass
-class TransformerConfig:
-    lookback: int = 10
-    horizon: int = 10
+class TransformerConfig(_Section, prefix="transformer."):
+    lookback: int = _bound(10, 1)
+    horizon: int = _bound(10, 1)
     latent_dim: Optional[int] = _derived(None)
-    width: int = 64
-    heads: int = 4
-    blocks: int = 1
-    param_dim: int = _derived(1)
-    ff_mult: int = 2
+    width: int = _bound(64, 2)
+    heads: int = _bound(4, 1)
+    blocks: int = _bound(1, 1)
+    param_dim: int = _bound(1, 1, derived=True)
+    ff_mult: int = _bound(2, 1)
 
     def __post_init__(self):
-        if min(self.lookback, self.horizon, self.blocks, self.width, self.ff_mult) < 1:
-            raise ConfigError("lookback, horizon, blocks, width and ff_mult must be >= 1")
-        if self.heads < 1 or self.width % self.heads != 0:
-            raise ConfigError("width must be divisible by heads")
+        super().__post_init__()
+        if self.width % self.heads:
+            raise ConfigError(f"transformer.width must be divisible by heads {self.heads}, "
+                              f"got {self.width}")
         if self.width % 2:  # the position encoding pairs a sine and a cosine
-            raise ConfigError(f"width must be even, got {self.width}")
+            raise ConfigError(f"transformer.width must be even, got {self.width}")
 
 
 @dataclass
-class LossWeights:
-    lam: float = 100.0
-    kld_weight: float = 1e-4
-
-    def __post_init__(self):
-        if self.lam < 0 or self.kld_weight < 0:
-            raise ConfigError("loss weights must be non-negative")
+class LossWeights(_Section, prefix="loss."):
+    lam: float = _bound(100.0, 0)
+    kld_weight: float = _bound(1e-4, 0)
 
 
 @dataclass
-class Schedule:
+class Schedule(_Section, prefix="training."):
     """Optimiser schedule of one fit."""
 
-    epochs: int = 200
-    batch_size: int = 32
-    lr: float = 1e-3
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+    epochs: int = _bound(200, 1)
+    batch_size: int = _bound(32, 1)
+    lr: float = _bound(1e-3, 0, strict=True)
 
 
 @dataclass
 class TrainingSection(Schedule):
-    replay_fraction: float = 0.25
-    retrain_epochs: int = 40
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.retrain_epochs < 1:
-            raise ConfigError("retrain_epochs must be >= 1")
-        if not 0 <= self.replay_fraction <= 1:
-            raise ConfigError("replay_fraction must be in [0, 1]")
+    replay_fraction: float = _bound(0.25, 0, 1)
+    retrain_epochs: int = _bound(40, 1)
 
 
 @dataclass
@@ -183,29 +194,19 @@ class TrainConfig(Schedule):
 
 
 @dataclass
-class UqSection:
-    ensemble_n: int = 64
-
-    def __post_init__(self):
-        if self.ensemble_n < 2:
-            raise ConfigError("ensemble_n must be >= 2")
+class UqSection(_Section, prefix="uq."):
+    ensemble_n: int = _bound(64, 2)
 
 
 @dataclass
-class AdaptiveSection:
-    budget: int = 5
-    threshold: float = 0.0
+class AdaptiveSection(_Section, prefix="adaptive."):
+    budget: int = _bound(5, 1)
+    threshold: float = _bound(0.0, -math.inf)
     grid: list = field(default_factory=list)  # list of {name: value} maps
 
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ConfigError(f"adaptive.budget must be >= 1, got {self.budget}")
-        if not math.isfinite(self.threshold):
-            raise ConfigError(f"adaptive.threshold must be finite, got {self.threshold}")
-
 
 @dataclass
-class RunConfig:
+class RunConfig(_Section):
     datagen: DatagenSection = field(default_factory=DatagenSection)
     vae: VaeConfig = field(default_factory=VaeConfig)
     transformer: TransformerConfig = field(default_factory=TransformerConfig)
@@ -213,11 +214,7 @@ class RunConfig:
     training: TrainingSection = field(default_factory=TrainingSection)
     uq: UqSection = field(default_factory=UqSection)
     adaptive: AdaptiveSection = field(default_factory=AdaptiveSection)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+    seed: int = _bound(0, 0)
 
     @classmethod
     def load(cls, path) -> "RunConfig":

@@ -52,7 +52,7 @@ def ensemble_noise(seed: int, n: int, n_t: int, dim: int) -> np.ndarray:
 
 def check_ensemble_size(n: int):
     if n < 2:
-        raise ValueError("ensemble size must be >= 2")
+        raise ValueError(f"ensemble size must be >= 2, got {n}")
 
 
 class LazyEnsemble:

@@ -248,12 +248,13 @@ BAD_MANIFESTS = {
                         "config in {m} is invalid: [vae] latent_dim must be of type int, "
                         "got 'x'"),
     "nan_kld_weight": (lambda m, w: (_config(m, "loss", kld_weight=float("nan")), w),
-                       "config in {m} is invalid: [loss] kld_weight must be finite, got nan"),
+                       "config in {m} is invalid: loss.kld_weight must be finite and >= 0, "
+                       "got nan"),
     "odd_width": (lambda m, w: (_config(m, "transformer", width=7, heads=7), w),
-                  "config in {m} is invalid: width must be even, got 7"),
+                  "config in {m} is invalid: transformer.width must be even, got 7"),
     **{f"{key}0": (lambda m, w, key=key: (_config(m, "transformer", **{key: 0}), w),
-                   "config in {m} is invalid: lookback, horizon, blocks, width and ff_mult "
-                   "must be >= 1") for key in ("width", "ff_mult")},
+                   f"config in {{m}} is invalid: transformer.{key} must be finite and "
+                   f">= {low}, got 0") for key, low in (("width", 2), ("ff_mult", 1))},
     **{f"{key}_{label}": (lambda m, w, key=key, value=value: ({**m, key: value}, w),
                           f"{key} in {{m}} is not a list of "
                           + ("objects" if key == "lineage" else "finite numbers"))
@@ -352,26 +353,28 @@ def _table() -> list:
             f"--seed must be >= 0, got {args.split()[-1]}")
     add("uq_tiny_ensemble_exit_5_before_loading_anything",
         "uq --checkpoint missing/ckpt --data missing/a.updr --n 1", 5,
-        "ensemble size must be >= 2")
+        "ensemble size must be >= 2, got 1")
 
     # ------------------------------------------------------------- configs
     cfg = config("seed-4", hopf(seed=-4))
     add("negative_config_seed_exit_3_naming_the_file", f"generate --config {cfg} --sweep mu=0.3",
-        3, f"invalid config: {cfg}: seed must be >= 0, got -4")
+        3, f"invalid config: {cfg}: seed must be finite and >= 0, got -4")
     # the config is refused before --data, which does not exist, is read
-    for section, key, value in (("adaptive", "threshold", "NaN"), ("loss", "kld_weight", "NaN"),
-                                ("training", "lr", "Infinity"),
-                                ("adaptive", "grid", '[{"mu": -Infinity}]')):
+    for section, key, value, message in (
+            ("adaptive", "threshold", "NaN", "finite, got nan"),
+            ("loss", "kld_weight", "NaN", "finite and >= 0, got nan"),
+            ("training", "lr", "Infinity", "finite and > 0, got inf"),
+            ("adaptive", "grid", '[{"mu": -Infinity}]', "finite, got [{'mu': -inf}]")):
         cfg = config(f"non_finite_{key}", f'{{"{section}": {{"{key}": {value}}}}}')
         add(f"non_finite_config_value_exit_3_naming_the_file_and_key[{key}]",
             f"train --config {cfg} --data missing/data", 3,
-            f"invalid config: {cfg}: [{section}] {key} must be finite")
+            f"invalid config: {cfg}: {section}.{key} must be {message}")
     for key, value in (("n_x", 0), ("n_x", 1), ("n_t", 0), ("n_t", 1), ("n_t", -3)):
         for case, sweep in (("hopf", "mu=0.3"), ("ks", "nu=1.0")):
             cfg = config(f"{case}_{key}{value}", {"datagen": {"case": case, key: value}})
             add(f"grid_below_two_points_exit_3_naming_the_key[{key}-{value}-{case}-{sweep}]",
                 f"generate --config {cfg} --sweep {sweep}", 3,
-                f"invalid config: {cfg}: datagen.{key} must be >= 2, got {value}")
+                f"invalid config: {cfg}: datagen.{key} must be finite and >= 2, got {value}")
     # the Hopf solver runs at n_x 48: --case ks checks the section again
     for param, datagen, sweep, message in (
             ("ks-n_x-48", {"case": "ks", "n_x": 48}, "nu=1.0 --case ks",
@@ -379,7 +382,7 @@ def _table() -> list:
             ("hopf-config-case-ks-n_x-48", {"case": "hopf", "n_x": 48}, "nu=1.0 --case ks",
              "datagen.n_x must be a power of two for case 'ks', got 48"),
             ("init_amplitude-0", {"case": "hopf", "init_amplitude": 0}, "mu=0.3",
-             "{cfg}: datagen.init_amplitude must be finite and positive, got 0")):
+             "{cfg}: datagen.init_amplitude must be finite and > 0, got 0")):
         cfg = config(param, {"datagen": datagen})
         add(f"generate_config_the_solver_cannot_run_exit_3_before_out[{param}]",
             f"generate --config {cfg} --sweep {sweep}", 3,
@@ -389,7 +392,7 @@ def _table() -> list:
         cfg = config(f"lr{lr}", {"training": {"lr": lr}})
         add(f"non_positive_lr_exit_3_before_the_data_is_read[{lr}]",
             f"train --config {cfg} --data missing/data", 3,
-            f"invalid config: {cfg}: lr must be > 0, got {lr}")
+            f"invalid config: {cfg}: training.lr must be finite and > 0, got {lr}")
     add("missing_config_file_exit_code", "generate --config missing/config.json --sweep mu=0.3",
         2, "No such file or directory: 'missing/config.json'")
     for detail, text, message in (
@@ -403,38 +406,44 @@ def _table() -> list:
             ("text_latent_dim", '{"vae": {"latent_dim": "x"}}',
              "[vae] latent_dim must be of type int, got 'x'"),
             ("text_n_t", '{"datagen": {"n_t": "x"}}', "[datagen] n_t must be of type int, got 'x'"),
-            ("epochs0", '{"training": {"epochs": 0}}', "epochs and batch_size must be >= 1"),
+            ("epochs0", '{"training": {"epochs": 0}}',
+             "training.epochs must be finite and >= 1, got 0"),
             ("retrain_epochs0", '{"training": {"retrain_epochs": 0}}',
-             "retrain_epochs must be >= 1"),
+             "training.retrain_epochs must be finite and >= 1, got 0"),
             ("replay_fraction-0.1", '{"training": {"replay_fraction": -0.1}}',
-             "replay_fraction must be in [0, 1]"),
+             "training.replay_fraction must be finite and in [0, 1], got -0.1"),
             ("replay_fraction1.5", '{"training": {"replay_fraction": 1.5}}',
-             "replay_fraction must be in [0, 1]"),
-            ("ensemble_n1", '{"uq": {"ensemble_n": 1}}', "ensemble_n must be >= 2"),
-            ("budget0", '{"adaptive": {"budget": 0}}', "adaptive.budget must be >= 1, got 0"),
+             "training.replay_fraction must be finite and in [0, 1], got 1.5"),
+            ("ensemble_n1", '{"uq": {"ensemble_n": 1}}',
+             "uq.ensemble_n must be finite and >= 2, got 1"),
+            ("budget0", '{"adaptive": {"budget": 0}}',
+             "adaptive.budget must be finite and >= 1, got 0"),
             ("case_foo", '{"datagen": {"case": "foo"}}',
              "unknown case 'foo'; expected one of ['ks', 'hopf']"),
-            ("dt0", '{"datagen": {"dt": 0}}', "datagen.dt must be finite and positive, got 0"),
+            ("dt0", '{"datagen": {"dt": 0}}', "datagen.dt must be finite and > 0, got 0"),
             ("dt-0.05", '{"datagen": {"dt": -0.05}}',
-             "datagen.dt must be finite and positive, got -0.05"),
-            ("dt_nan", '{"datagen": {"dt": NaN}}', "[datagen] dt must be finite, got nan"),
+             "datagen.dt must be finite and > 0, got -0.05"),
+            ("dt_nan", '{"datagen": {"dt": NaN}}', "datagen.dt must be finite and > 0, got nan"),
             ("domain_length0", '{"datagen": {"domain_length": 0}}',
-             "datagen.domain_length must be finite and positive, got 0"),
+             "datagen.domain_length must be finite and > 0, got 0"),
             ("domain_length-22.0", '{"datagen": {"domain_length": -22.0}}',
-             "datagen.domain_length must be finite and positive, got -22.0")):
+             "datagen.domain_length must be finite and > 0, got -22.0")):
         cfg = config(f"invalid_{detail}", text)
         add(f"invalid_config_exit_code/{detail}", f"generate --config {cfg} --sweep mu=0.3", 3,
             f"invalid config: {cfg}: {message}")
     for section, key, value, message in (
-            ("transformer", "heads", 3, "{cfg}: width must be divisible by heads"),
-            ("loss", "lam", -1, "{cfg}: loss weights must be non-negative"),
+            ("transformer", "heads", 3,
+             "{cfg}: transformer.width must be divisible by heads 3, got 8"),
+            ("loss", "lam", -1, "{cfg}: loss.lam must be finite and >= 0, got -1"),
             # the data's state dim is 16
-            ("vae", "latent_dim", 16, "latent_dim must be smaller than state_dim"),
+            ("vae", "latent_dim", 16, "vae.latent_dim must be smaller than state_dim 16, got 16"),
             ("vae", "hidden", 64, "{cfg}: [vae] hidden must be of type Sequence[int], got 64"),
-            ("training", "batch_size", 0, "{cfg}: epochs and batch_size must be >= 1"),
+            ("training", "batch_size", 0,
+             "{cfg}: training.batch_size must be finite and >= 1, got 0"),
             *(("transformer", key, value,
-               "{cfg}: lookback, horizon, blocks, width and ff_mult must be >= 1")
-              for key, value in (("width", 0), ("width", -4), ("ff_mult", 0), ("ff_mult", -1)))):
+               f"{{cfg}}: transformer.{key} must be finite and >= {low}, got {value}")
+              for key, low, value in (("width", 2, 0), ("width", 2, -4), ("ff_mult", 1, 0),
+                                      ("ff_mult", 1, -1)))):
         cfg = config(f"{section}_{key}{value}", hopf(**{section: {key: value}}))
         add(f"train_bad_config_value_exit_code[{section}-{key}-{value}]",
             f"train --config {cfg} --data {DATA}", 3,
@@ -442,15 +451,15 @@ def _table() -> list:
     # the position encoding pairs a sine and a cosine; 7 is divisible by 7 heads
     cfg = config("transformer_width7", hopf(transformer={"width": 7, "heads": 7}))
     add("train_odd_transformer_width_exit_3", f"train --config {cfg} --data {DATA}", 3,
-        f"invalid config: {cfg}: width must be even, got 7")
+        f"invalid config: {cfg}: transformer.width must be even, got 7")
     # neither the checkpoint nor the data exists: the override is refused by
     # the config's own check before either is read, as in a config file
     for option, value, message in (
             ("--threshold", "nan", "adaptive.threshold must be finite, got nan"),
             ("--threshold", "inf", "adaptive.threshold must be finite, got inf"),
             ("--threshold", "-inf", "adaptive.threshold must be finite, got -inf"),
-            ("--budget", "0", "adaptive.budget must be >= 1, got 0"),
-            ("--budget", "-2", "adaptive.budget must be >= 1, got -2")):
+            ("--budget", "0", "adaptive.budget must be finite and >= 1, got 0"),
+            ("--budget", "-2", "adaptive.budget must be finite and >= 1, got -2")):
         add(f"adapt_bad_budget_or_threshold_exit_3_before_anything_is_read"
             f"[{option[2:]}-{value}]",
             f"adapt --checkpoint missing/ckpt --data missing/data {option} {value}", 3,

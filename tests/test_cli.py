@@ -14,7 +14,7 @@ from refusals import (CFG, CKPT, DATA, FLOWS, HOPF, REFUSALS, flow_commands, hop
                       make_error_inputs, run_cli, run_flows, run_ok)
 from romuq.adaptive import evaluate_grid
 from romuq.cli import _check_datagen, _generate_one
-from romuq.config import ConfigError, DatagenSection, RunConfig, TrainingSection
+from romuq.config import DatagenSection, RunConfig
 from romuq.datagen import ParamPoint, read_trajectory, solve_hopf_surrogate, split_even_odd
 from romuq.errors import TrainingDiverged
 from romuq.training import ModelCheckpoint, predict_rollout
@@ -409,15 +409,3 @@ def test_the_readme_lists_the_exit_codes_of_the_refusal_table():
     section = readme.split("\nExit codes:\n", 1)[1].split("\nAny other failure", 1)[0]
     listed = {int(code) for code in re.findall(r"^- (\d+):", section, re.M)}
     assert listed == {case.code for case in REFUSALS} == {2, 3, 4, 5}
-
-
-def test_sections_refuse_a_grid_below_two_points_and_a_non_positive_lr():
-    # the checks the refusal table reaches through config files live in the
-    # sections, so a section built in code refuses the same values
-    for case in ("hopf", "ks"):
-        for key, value in (("n_x", 0), ("n_x", 1), ("n_t", 0), ("n_t", 1), ("n_t", -3)):
-            with pytest.raises(ConfigError, match=f"datagen.{key} must be >= 2, got {value}"):
-                DatagenSection(case=case, **{key: value})
-    for lr in (0, 0.0, -0.5):
-        with pytest.raises(ConfigError, match=f"lr must be > 0, got {lr}"):
-            TrainingSection(lr=lr)
