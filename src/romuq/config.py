@@ -102,7 +102,8 @@ class _Section:
                 lo, hi, strict = bound = f.metadata["bound"]
                 value = getattr(self, f.name)
                 for v in value if isinstance(value, (list, tuple)) else (value,):
-                    if not (math.isfinite(v) and (v > lo if strict else v >= lo) and v <= hi):
+                    # an int is finite, also one too big for math.isfinite's float
+                    if not ((isinstance(v, int) or math.isfinite(v)) and (v > lo if strict else v >= lo) and v <= hi):
                         raise ConfigError(f"{self.prefix}{f.name} must be {_must(*bound)}, got {v}")
 
 

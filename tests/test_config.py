@@ -108,18 +108,28 @@ def test_a_config_file_refuses_past_a_bound_and_nan_with_the_same_message(tmp_pa
                 assert str(exc.value) == f"{path}: {expected}"
 
 
-def config_bounds() -> list:
-    """``(key, must be, default)`` of every settable bounded config key, in
-    file order: the sections' keys, then ``seed``."""
-    config = RunConfig()
-    sections = [getattr(config, f.name) for f in fields(RunConfig) if f.name != "seed"]
-    return [(f"{section.prefix}{f.name}", _must(*f.metadata["bound"]),
-             json.dumps(getattr(section, f.name)))
-            for section in [*sections, config]
-            for f, *_ in edges(type(section)) if not f.metadata["derived"]]
+def test_an_int_too_big_for_a_float_is_checked_exactly(tmp_path):
+    """A 400-digit JSON int is finite: it loads where its key has no upper
+    bound and is refused with the one message where it has one."""
+    big = 10 ** 400
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": big, "adaptive": {"budget": big}}))
+    config = RunConfig.load(path)
+    assert (config.seed, config.adaptive.budget) == (big, big)
+    path.write_text(json.dumps({"training": {"replay_fraction": big}}))
+    with pytest.raises(ConfigError, match=rf"training.replay_fraction must be finite and in "
+                                          rf"\[0, 1\], got {big}$"):
+        RunConfig.load(path)
 
 
 def test_the_readme_lists_every_config_bound():
+    """The README's table of ``(key, must be, default)``: every settable
+    bounded key, in file order, the sections' keys, then ``seed``."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = re.findall(r"^\| `([\w.]+)` \| (.+?) \| `(.+?)` \|$", readme, re.M)
-    assert table == config_bounds()
+    config = RunConfig()
+    sections = [getattr(config, f.name) for f in fields(RunConfig) if f.name != "seed"]
+    assert table == [(f"{section.prefix}{f.name}", _must(*f.metadata["bound"]),
+                      json.dumps(getattr(section, f.name)))
+                     for section in [*sections, config]
+                     for f, *_ in edges(type(section)) if not f.metadata["derived"]]

@@ -1,11 +1,11 @@
 """Benchmark record with its spread: ``BENCH_<workload>.json`` at the
 repository root, from repeated untraced runs of perfbench/run.py.
 
-Runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-``--runs`` times for each workload, the workloads taking turns so that
-both sample the same stretch of the machine's time. run.py overwrites its
-record ``perfbench/out/<W>-seed<S>-trace0.json`` on every run, so each is
-deleted before its run and read right after it. Each ``BENCH_<W>.json`` holds:
+Runs ``perfbench/run.py --workload W --seed 0 --seconds 50 --trace 0``
+10 times for each of ``hopf_adapt`` and ``ks_cli``, the workloads taking
+turns so that both sample the same stretch of the machine's time. run.py
+overwrites its record ``perfbench/out/<W>-seed0-trace0.json`` on every
+run, so each is deleted before its run and read right after it. Each ``BENCH_<W>.json`` holds:
 
 - the commit and the sha256 prefix of ``src/romuq`` that
   ``perfbench/worker.py``'s ``source_hash`` computes (a run of an
@@ -20,8 +20,7 @@ deleted before its run and read right after it. Each ``BENCH_<W>.json`` holds:
 
 Besides deleting those run records it changes no file under perfbench/:
 
-    python3 tools/bench_record.py                     # 10 runs each, seed 0, 50 s
-    python3 tools/bench_record.py --runs 12 --seed 1 --workloads ks_cli
+    python3 tools/bench_record.py
 
 A run that exits nonzero or writes no record stops the script, which then
 writes nothing.
@@ -29,7 +28,6 @@ writes nothing.
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -41,13 +39,19 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from worker import OUT, source_hash  # noqa: E402
 
+WORKLOADS, RUNS, SEED, SECONDS = ("hopf_adapt", "ks_cli"), 10, 0, 50
 
-def run_once(workload: str, seed: int, seconds: float) -> dict:
+
+def command(workload: str) -> list:
+    return ["perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+            "--seconds", str(SECONDS), "--trace", "0"]
+
+
+def run_once(workload: str) -> dict:
     """One untraced run's record, read from the file run.py just wrote."""
-    record = OUT / f"{workload}-seed{seed}-trace0.json"
+    record = OUT / f"{workload}-seed{SEED}-trace0.json"
     record.unlink(missing_ok=True)
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
+    argv = [sys.executable, *command(workload)]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0 or not record.is_file():
         raise SystemExit(f"{' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
@@ -60,25 +64,16 @@ def summary(values: list) -> dict:
             "values": values}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="tools/bench_record.py", description=__doc__.split("\n")[0])
-    ap.add_argument("--workloads", nargs="+", default=["hopf_adapt", "ks_cli"])
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=50)
-    args = ap.parse_args(argv)
-    if args.runs < 2:
-        ap.error("--runs must be >= 2, for a quartile distance")
-
+def main() -> int:
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
                             text=True).stdout.strip() or "unknown (not a git checkout)"
     source = source_hash()
-    records = {w: [] for w in args.workloads}
-    for i in range(args.runs):
-        for workload in args.workloads:
-            records[workload].append(run_once(workload, args.seed, args.seconds))
+    records = {w: [] for w in WORKLOADS}
+    for i in range(RUNS):
+        for workload in WORKLOADS:
+            records[workload].append(run_once(workload))
             metrics = records[workload][-1]["result"]["metrics"]
-            print(f"run {i + 1}/{args.runs} {workload}: "
+            print(f"run {i + 1}/{RUNS} {workload}: "
                   + " ".join(f"{n} {m['value']:.4g}" for n, m in metrics.items()), flush=True)
     if source_hash() != source:
         raise SystemExit("src/romuq changed during the runs; nothing written")
@@ -92,9 +87,8 @@ def main(argv=None) -> int:
                                  **summary([of(r)[name]["value"] for r in runs])}
         bench = {
             "workload": workload, "commit": commit, "source_hash": source,
-            "seed": args.seed, "seconds": args.seconds, "runs": len(runs), "trace": 0,
-            "command": f"python3 perfbench/run.py --workload {workload} --seed {args.seed} "
-                       f"--seconds {args.seconds:g} --trace 0",
+            "seed": SEED, "seconds": SECONDS, "runs": len(runs), "trace": 0,
+            "command": " ".join(["python3", *command(workload)]),
             "correct": [r["result"]["correct"] for r in runs],
             "env": runs[0]["env"], "metrics": metrics,
         }
